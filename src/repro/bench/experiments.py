@@ -517,14 +517,13 @@ def ablation_rows(dataset: str = "gowalla", batch: int = 40) -> Rows:
     graph = load_all()[dataset]
     rows: list[Sequence[object]] = []
     variants = (
-        ("range", MaintenanceMode.RANGE, "traversal"),
-        ("full-k", MaintenanceMode.FULL_K, "traversal"),
-        ("range+order-cores", MaintenanceMode.RANGE, "order"),
+        ("range", MaintenanceMode.RANGE),
+        ("full-k", MaintenanceMode.FULL_K),
     )
-    for label, mode, backend in variants:
+    for label, mode in variants:
         rng = random.Random(29)
         working = graph.copy()
-        maintainer = KPIndexMaintainer(working, mode=mode, core_backend=backend)
+        maintainer = KPIndexMaintainer(working, mode=mode)
         chosen = rng.sample(list(working.edges()), batch)
         delete_total = insert_total = 0.0
         for u, v in chosen:

@@ -18,7 +18,9 @@ Glue for using the library without writing Python:
 * ``report EXPERIMENT``     — print one table/figure reproduction
   (``table2``, ``fig6`` … ``fig16``, ``ablation``),
 * ``profile CMD ...``       — run any other command with metrics
-  collection on and print the obs report afterwards,
+  collection on and print the obs report, the latency attribution
+  table and the slowest spans afterwards (``--json`` / ``--jsonl``
+  export the trace),
 * ``lint [PATH ...]``       — run the repo's KP lint rules (KP001-KP007
   per file, plus the KP008-KP012 whole-program analysis with
   ``--analysis``; ``--format text|json|sarif``),
@@ -42,6 +44,7 @@ from repro.core.peel_engines import DEFAULT_ENGINE, available_engines
 from repro.core.index import KPIndex
 from repro.core.kpcore import kp_core_vertices
 from repro.kcore.decomposition import core_decomposition
+from repro.obs.instrumentation import DEFAULT_BUFFER_SIZE
 
 __all__ = ["main", "build_parser"]
 
@@ -272,39 +275,10 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import Instrumentation, render_report, set_collector
-
-    rest = list(args.argv)
-    if rest and rest[0] == "--":
-        rest = rest[1:]
-    if not rest:
-        print("error: profile needs a command to run, e.g. "
-              "`repro profile kpcore builtin:facebook -k 4 -p 0.5`",
-              file=sys.stderr)
-        return 2
-    if rest[0] == "profile":
-        print("error: profile cannot wrap itself", file=sys.stderr)
-        return 2
-    collector = Instrumentation()
-    previous = set_collector(collector)
-    try:
-        status = main(rest)
-    finally:
-        set_collector(previous)
-    snapshot = collector.snapshot()
-    print(render_report(snapshot, title=f"profile: {' '.join(rest)}"))
-    if args.json:
-        snapshot.save(args.json)
-        print(f"wrote metrics snapshot to {args.json}")
-    return status
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.bench.reporting import print_table
-    from repro.obs import names as metric_names
-    from repro.obs.trace import Tracer, set_tracer
+    from repro.obs import Instrumentation, names, render_report, set_collector
     from repro.obs.trace_export import (
         attribution_rows,
         chrome_payload,
@@ -317,38 +291,46 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if rest and rest[0] == "--":
         rest = rest[1:]
     if not rest:
-        print("error: trace needs a command to run, e.g. "
-              "`repro trace index serve-bench /tmp/state --threads 2`",
+        print("error: profile needs a command to run, e.g. "
+              "`repro profile kpcore builtin:facebook -k 4 -p 0.5`",
               file=sys.stderr)
         return 2
-    if rest[0] == "trace":
-        print("error: trace cannot wrap itself", file=sys.stderr)
+    if rest[0] == "profile":
+        print("error: profile cannot wrap itself", file=sys.stderr)
         return 2
-    tracer = Tracer(buffer_size=args.buffer)
-    previous = set_tracer(tracer)
+    command = " ".join(rest)
+    collector = Instrumentation(buffer_size=args.buffer)
+    previous = set_collector(collector)
     try:
-        with tracer.span(metric_names.TRACE_COMMAND, command=" ".join(rest)):
+        with collector.span(names.TRACE_COMMAND, command=command):
             status = main(rest)
     finally:
-        set_tracer(previous)
-    events = tracer.events()
+        set_collector(previous)
+    snapshot = collector.snapshot()
+    events = collector.events()
+    print(render_report(snapshot, title=f"profile: {command}"))
     headers, rows = attribution_rows(events)
-    print_table(headers, rows, title=f"trace attribution: {' '.join(rest)}")
+    print_table(headers, rows, title=f"trace attribution: {command}")
     headers, rows = slowest_rows(events, args.top)
     print_table(headers, rows, title=f"top {args.top} slowest spans")
-    if tracer.dropped:
-        print(f"note: ring buffer dropped {tracer.dropped} of "
-              f"{tracer.recorded} events (raise --buffer)")
-    payload = chrome_payload(events)
-    problems = validate_chrome_trace(payload)
-    if problems:
-        for problem in problems:
-            print(f"error: invalid trace export: {problem}", file=sys.stderr)
-        return 1
-    with open(args.json, "w", encoding="utf-8") as handle:
-        json_module.dump(payload, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {len(events)} events to {args.json} "
-          "(load in chrome://tracing or https://ui.perfetto.dev)")
+    if collector.dropped:
+        print(f"note: ring buffer dropped {collector.dropped} of "
+              f"{collector.recorded} events (raise --buffer)")
+    if args.json:
+        # One file for both views: Chrome/Perfetto read traceEvents and
+        # keep the other top-level keys as metadata, while
+        # MetricsSnapshot.load reads counters/histograms/spans.
+        payload = chrome_payload(events)
+        problems = validate_chrome_trace(payload)
+        if problems:
+            for problem in problems:
+                print(f"error: invalid trace export: {problem}", file=sys.stderr)
+            return 1
+        payload.update(snapshot.to_dict())
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json_module.dump(payload, handle, indent=2, sort_keys=True)
+        print(f"\nwrote metrics and {len(events)} trace events to {args.json} "
+              "(load in chrome://tracing or https://ui.perfetto.dev)")
     if args.jsonl:
         write_jsonl(args.jsonl, events)
         print(f"wrote raw events to {args.jsonl}")
@@ -578,14 +560,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile",
-        help="run another repro command with metrics collection on",
+        help="run another repro command with metrics and tracing on",
         description="Runs the wrapped command with an obs collector "
-        "installed (as if REPRO_OBS=1) and prints the metrics report "
-        "after it finishes.",
+        "installed (as if REPRO_OBS=1), then prints the metrics report, "
+        "the latency attribution table and the slowest spans.",
     )
     p_profile.add_argument(
         "--json", metavar="FILE",
-        help="also write the metrics snapshot as JSON",
+        help="also write a Chrome trace-event file (loadable in "
+        "chrome://tracing or Perfetto) that carries the metrics "
+        "snapshot too",
+    )
+    p_profile.add_argument(
+        "--jsonl", metavar="FILE",
+        help="also write the raw trace events as JSON lines",
+    )
+    p_profile.add_argument(
+        "--top", type=int, default=10, metavar="N",
+        help="slowest spans to list (default: %(default)s)",
+    )
+    p_profile.add_argument(
+        "--buffer", type=int, default=DEFAULT_BUFFER_SIZE, metavar="N",
+        help="trace-event ring-buffer capacity (default: %(default)s)",
     )
     p_profile.add_argument(
         "argv", nargs=argparse.REMAINDER, metavar="CMD",
@@ -593,38 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         "`kpcore builtin:facebook -k 4 -p 0.5`",
     )
     p_profile.set_defaults(func=_cmd_profile)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="run another repro command with per-request tracing on",
-        description="Runs the wrapped command with a tracer installed "
-        "(as if REPRO_TRACE=1), prints the latency attribution and "
-        "slowest-span tables, and writes a Chrome trace-event file "
-        "loadable in chrome://tracing or Perfetto.",
-    )
-    p_trace.add_argument(
-        "--json", metavar="FILE", default="trace.json",
-        help="Chrome trace-event output file (default: %(default)s)",
-    )
-    p_trace.add_argument(
-        "--jsonl", metavar="FILE",
-        help="also write the raw events as JSON lines",
-    )
-    p_trace.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="slowest spans to list (default: %(default)s)",
-    )
-    p_trace.add_argument(
-        "--buffer", type=int, default=None, metavar="N",
-        help="ring-buffer capacity in events "
-        "(default: REPRO_TRACE_BUFFER or 65536)",
-    )
-    p_trace.add_argument(
-        "argv", nargs=argparse.REMAINDER, metavar="CMD",
-        help="the repro command to trace, e.g. "
-        "`index serve-bench /tmp/state --threads 2`",
-    )
-    p_trace.set_defaults(func=_cmd_trace)
 
     p_bench = sub.add_parser(
         "bench", help="benchmark-file utilities (regression diffing)"

@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from bisect import bisect_left
 from heapq import heappush, heappop, heapify
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.devtools.contracts import (
     verify_batch_state,
@@ -51,8 +51,6 @@ from repro.devtools.contracts import (
     verify_maintainer_update,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.kcore.order_maintenance import OrderBasedCoreMaintainer
 from repro.errors import (
     EdgeExistsError,
     EdgeNotFoundError,
@@ -225,12 +223,6 @@ class KPIndexMaintainer:
         When true, internal consistency violations raise
         :class:`~repro.errors.IndexStateError` instead of triggering a
         defensive full re-peel of the affected array.  Tests run strict.
-    core_backend:
-        Which incremental core-number algorithm repairs ``cn`` values:
-        ``"traversal"`` (the subcore algorithm of [18], default) or
-        ``"order"`` (the k-order candidate walks of [30], see
-        :mod:`repro.kcore.order_maintenance`).  Both are exact; the knob
-        exists for the ablation benches.
     index:
         An already-built :class:`KPIndex` of exactly ``graph`` — a loaded
         checkpoint in the durability layer (:mod:`repro.service`) — to
@@ -245,7 +237,6 @@ class KPIndexMaintainer:
         graph: Graph,
         mode: MaintenanceMode = MaintenanceMode.RANGE,
         strict: bool = False,
-        core_backend: str = "traversal",
         index: KPIndex | None = None,
     ) -> None:
         self.graph = graph
@@ -265,18 +256,7 @@ class KPIndexMaintainer:
         self.batch_hooks: list[
             Callable[[Sequence[tuple[str, Vertex, Vertex]]], None]
         ] = []
-        self._cores: CoreMaintainer | OrderBasedCoreMaintainer
-        if core_backend == "traversal":
-            self._cores = CoreMaintainer(graph)
-        elif core_backend == "order":
-            from repro.kcore.order_maintenance import OrderBasedCoreMaintainer
-
-            self._cores = OrderBasedCoreMaintainer(graph)
-        else:
-            raise ParameterError(
-                f"unknown core_backend {core_backend!r} "
-                "(expected 'traversal' or 'order')"
-            )
+        self._cores = CoreMaintainer(graph)
         if index is None:
             self.index = KPIndex.build(graph)
         else:

@@ -28,18 +28,17 @@ and writes only its own ``(order, p_numbers)`` pair.  This module fans the
   order.
 
 Observability crosses the process boundary explicitly: when the parent
-has a collector (``REPRO_OBS``) each chunk runs under a fresh
-:class:`~repro.obs.instrumentation.Instrumentation`, ships its snapshot
-back with the result, and the parent folds it in with
-:meth:`~repro.obs.instrumentation.Instrumentation.merge` — so counters of
-a parallel run equal the serial run's exactly (plus the scheduling
-counters only parallel runs have).  When the parent is tracing
-(``REPRO_TRACE``) the pool initializer carries the parent's
-``(trace_id, span_id)`` context, each chunk records its spans under a
-worker-local :class:`~repro.obs.trace.Tracer` parented to that context,
-and the events ride home with the result to be
-:meth:`~repro.obs.trace.Tracer.absorb`-ed into the parent buffer — one
-coherent trace across processes.
+has a collector (``REPRO_OBS``) the pool initializer carries its
+:meth:`~repro.obs.instrumentation.Instrumentation.context` (the open
+span's trace id, span id and path), each chunk runs under a fresh
+worker :class:`~repro.obs.instrumentation.Instrumentation` parented to
+that context, ships one
+:meth:`~repro.obs.instrumentation.Instrumentation.payload` back with the
+result, and the parent folds it in with one
+:meth:`~repro.obs.instrumentation.Instrumentation.merge` — so counters,
+histograms and span paths of a parallel run equal the serial run's
+exactly (plus the scheduling counters only parallel runs have), and the
+worker events join one coherent trace.
 """
 
 from __future__ import annotations
@@ -51,9 +50,12 @@ from typing import Any, Sequence
 from repro.errors import ParameterError
 from repro.graph.compact import CompactAdjacency
 from repro.obs import names
-from repro.obs.instrumentation import Instrumentation, get_collector, set_collector
-from repro.obs.snapshot import MetricsSnapshot
-from repro.obs.trace import Tracer, get_tracer, set_tracer
+from repro.obs.instrumentation import (
+    Frame,
+    Instrumentation,
+    get_collector,
+    set_collector,
+)
 
 __all__ = ["default_workers", "k_core_sizes", "peel_all_k"]
 
@@ -67,15 +69,12 @@ _CHUNKS_PER_WORKER = 4
 _snapshot: CompactAdjacency | None = None
 _core: list[int] | None = None
 _engine_name: str = ""
-_obs_on: bool = False
+#: The parent's span context when it is collecting, else ``None``.
+_obs_context: Frame | None = None
 #: Engine scratch, built lazily on the worker's first chunk and shared by
 #: all of its chunks (the whole point of a per-worker cache).
 _scratch: Any | None = None
 _scratch_ready = False
-#: One tracer per worker *process*, drained after every chunk — its
-#: span-id counter keeps advancing across chunks, so ids stay unique per
-#: pid even though each chunk ships its events separately.
-_worker_tracer: Tracer | None = None
 
 
 def default_workers() -> int:
@@ -131,19 +130,16 @@ def _init_worker(
     snapshot: CompactAdjacency,
     core: list[int],
     engine: str,
-    obs_on: bool,
-    trace_ctx: tuple[str, str | None] | None,
+    obs_context: Frame | None,
 ) -> None:
     """Pool initializer: pin the shared read-only inputs in this process."""
-    global _snapshot, _core, _engine_name, _obs_on, _scratch, _scratch_ready
-    global _worker_tracer
+    global _snapshot, _core, _engine_name, _obs_context, _scratch, _scratch_ready
     _snapshot = snapshot
     _core = core
     _engine_name = engine
-    _obs_on = obs_on
+    _obs_context = obs_context
     _scratch = None
     _scratch_ready = False
-    _worker_tracer = Tracer(context=trace_ctx) if trace_ctx is not None else None
 
 
 def _worker_scratch() -> Any:
@@ -160,48 +156,30 @@ def _worker_scratch() -> Any:
 
 def _peel_chunk(
     chunk: Sequence[int],
-) -> tuple[
-    list[tuple[int, list[int], list[float]]],
-    int,
-    dict[str, Any] | None,
-    list[dict[str, Any]] | None,
-]:
+) -> tuple[list[tuple[int, list[int], list[float]]], int, dict[str, Any] | None]:
     """One chunk of fixed-``k`` peels in a worker.
 
-    Returns ``(peeled, pid, metrics_payload, events_payload)`` where
-    ``peeled`` is one ``(k, order, p_numbers)`` triple per ``k`` in the
-    chunk; the payloads are ``None`` unless the parent asked for them
-    through the initializer flags.
+    Returns ``(peeled, pid, obs_payload)`` where ``peeled`` is one
+    ``(k, order, p_numbers)`` triple per ``k`` in the chunk; the payload
+    is ``None`` unless the parent passed a collection context through
+    the initializer.
     """
     from repro.core.peel_engines import get_engine
 
     assert _snapshot is not None and _core is not None
     engine = get_engine(_engine_name)
     scratch = _worker_scratch()
-    task_obs = Instrumentation() if _obs_on else None
-    task_tracer = _worker_tracer
-    previous_obs = set_collector(task_obs) if task_obs is not None else None
-    previous_tracer = (
-        set_tracer(task_tracer) if task_tracer is not None else None
+    task_obs = (
+        None if _obs_context is None else Instrumentation(context=_obs_context)
     )
+    previous = set_collector(task_obs)
     try:
         peeled = [
             (k, *engine(_snapshot, _core, k, scratch=scratch)) for k in chunk
         ]
     finally:
-        if task_obs is not None:
-            set_collector(previous_obs)
-        if task_tracer is not None:
-            set_tracer(previous_tracer)
-    metrics_payload = (
-        task_obs.snapshot().to_dict() if task_obs is not None else None
-    )
-    if task_tracer is not None:
-        events_payload = [event.to_dict() for event in task_tracer.events()]
-        task_tracer.clear()
-    else:
-        events_payload = None
-    return peeled, os.getpid(), metrics_payload, events_payload
+        set_collector(previous)
+    return peeled, os.getpid(), None if task_obs is None else task_obs.payload()
 
 
 def peel_all_k(
@@ -225,8 +203,6 @@ def peel_all_k(
     neighbour lists are already rank-sorted.
     """
     obs = get_collector()
-    tracer = get_tracer()
-    trace_ctx = tracer.context() if tracer is not None else None
     sizes = k_core_sizes(core, degeneracy)
     selected = range(1, degeneracy + 1) if ks is None else ks
     for k in selected:
@@ -244,21 +220,24 @@ def peel_all_k(
     with Pool(
         processes=pool_size,
         initializer=_init_worker,
-        initargs=(snapshot, list(core), engine, obs is not None, trace_ctx),
+        initargs=(
+            snapshot,
+            list(core),
+            engine,
+            obs.context() if obs is not None else None,
+        ),
     ) as pool:
-        for peeled, pid, metrics_payload, events_payload in (
-            pool.imap_unordered(_peel_chunk, chunks, chunksize=1)
+        for peeled, pid, obs_payload in pool.imap_unordered(
+            _peel_chunk, chunks, chunksize=1
         ):
             for k, order, p_numbers in peeled:
                 results[k] = (order, p_numbers)
             tasks_per_pid[pid] = tasks_per_pid.get(pid, 0) + len(peeled)
-            if obs is not None and metrics_payload is not None:
-                # Fold the worker's per-chunk counters in verbatim: the
-                # engines record the same metrics they do serially, so
-                # parallel profiles match serial ones exactly.
-                obs.merge(MetricsSnapshot.from_dict(metrics_payload))
-            if tracer is not None and events_payload is not None:
-                tracer.absorb(events_payload)
+            if obs is not None and obs_payload is not None:
+                # Fold the worker's per-chunk collection in verbatim: the
+                # engines record the same metrics and events they do
+                # serially, so parallel profiles match serial ones.
+                obs.merge(obs_payload)
     if obs is not None:
         obs.add(names.DECOMP_PARALLEL_TASKS, len(ordered))
         obs.add(names.DECOMP_PARALLEL_CHUNKS, len(chunks))

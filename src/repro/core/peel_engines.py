@@ -57,7 +57,6 @@ from repro.core.peel_flat import (
 )
 from repro.obs import names
 from repro.obs.instrumentation import get_collector
-from repro.obs.trace import get_tracer
 
 __all__ = [
     "BucketScratch",
@@ -131,10 +130,10 @@ def peel_fixed_k_heap(
     del scratch  # no reusable state: the heap is rebuilt per call anyway
     if k < 1:
         raise ParameterError(f"degree threshold k must be >= 1, got {k}")
-    # Tracer fetched once, checked per call — never inside the peel loop
-    # (the KP007 discipline extends to trace events).
-    tracer = get_tracer()
-    trace_start = time.perf_counter() if tracer is not None else 0.0
+    # Collector fetched once, checked per call — never inside the peel
+    # loop (KP007); everything is recorded after the drain.
+    obs = get_collector()
+    trace_start = time.perf_counter() if obs is not None else 0.0
     members = [v for v in range(snapshot.num_vertices) if core[v] >= k]
     if not members:
         return [], []
@@ -194,15 +193,13 @@ def peel_fixed_k_heap(
             key[u] = new_key
             heappush(heap, (new_key, u))
     _canonicalize_rounds(order, p_numbers)
-    obs = get_collector()
     if obs is not None:
         obs.inc(names.DECOMP_ROUNDS)
         obs.add(names.DECOMP_PEELS, len(order))
         obs.add(names.DECOMP_REKEYS, rekeys)
         obs.add(names.DECOMP_DEGREE_VIOLATIONS, degree_violations)
         obs.observe(names.DECOMP_ARRAY_SIZE, len(order))
-    if tracer is not None:
-        tracer.record(
+        obs.record(
             names.TRACE_PEEL_FIXED_K,
             trace_start,
             time.perf_counter(),
@@ -280,10 +277,10 @@ def peel_fixed_k_bucket(
     """
     if k < 1:
         raise ParameterError(f"degree threshold k must be >= 1, got {k}")
-    # Tracer fetched once, checked per call — never inside the peel loop
-    # (the KP007 discipline extends to trace events).
-    tracer = get_tracer()
-    trace_start = time.perf_counter() if tracer is not None else 0.0
+    # Collector fetched once, checked per call — never inside the peel
+    # loop (KP007); everything is recorded after the drain.
+    obs = get_collector()
+    trace_start = time.perf_counter() if obs is not None else 0.0
     members = [v for v in range(snapshot.num_vertices) if core[v] >= k]
     if not members:
         return [], []
@@ -399,7 +396,6 @@ def peel_fixed_k_bucket(
             p_numbers.append(level)
         remaining -= len(round_buf)
         del round_buf[:]
-    obs = get_collector()
     if obs is not None:
         obs.inc(names.DECOMP_ROUNDS)
         obs.add(names.DECOMP_PEELS, len(order))
@@ -409,8 +405,7 @@ def peel_fixed_k_bucket(
         obs.add(names.DECOMP_BUCKET_MOVES, bucket_moves)
         obs.observe(names.DECOMP_BUCKET_LEVELS, len(levels))
         obs.observe(names.DECOMP_ARRAY_SIZE, len(order))
-    if tracer is not None:
-        tracer.record(
+        obs.record(
             names.TRACE_PEEL_FIXED_K,
             trace_start,
             time.perf_counter(),

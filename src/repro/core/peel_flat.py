@@ -73,7 +73,6 @@ from repro.errors import ParameterError
 from repro.graph.compact import CompactAdjacency
 from repro.obs import names
 from repro.obs.instrumentation import get_collector
-from repro.obs.trace import get_tracer
 
 try:  # optional acceleration; the pure-Python path is always available
     import numpy as _np
@@ -422,11 +421,10 @@ def _peel(
     state: FlatScratch, k: int, engine_label: str
 ) -> tuple[list[int], list[float]]:
     """Shared drain: rounds walk the rank cursor, cascades re-park."""
-    # Collector/tracer fetched once per call, never inside the peel loop
-    # (KP007 discipline); all recording happens after the drain.
+    # Collector fetched once per call, never inside the peel loop (KP007
+    # discipline); all recording happens after the drain.
     obs = get_collector()
-    tracer = get_tracer()
-    trace_start = time.perf_counter() if tracer is not None else 0.0
+    trace_start = time.perf_counter() if obs is not None else 0.0
     if state.core_np is not None:
         members, plen, deg_s = _setup_numpy(state, k)
     else:
@@ -560,8 +558,7 @@ def _peel(
         obs.add(names.DECOMP_FLAT_RANK_SKIPS, rank_skips)
         obs.observe(names.DECOMP_FLAT_LEVELS, state.num_levels)
         obs.observe(names.DECOMP_ARRAY_SIZE, members_n)
-    if tracer is not None:
-        tracer.record(
+        obs.record(
             names.TRACE_PEEL_FIXED_K,
             trace_start,
             time.perf_counter(),

@@ -454,34 +454,28 @@ class UnguardedMetricRule(LintRule):
 
     Inside ``while``/``for`` loops of the three O(m) peeling modules:
 
-    * calls to ``get_collector()`` / ``maybe_span()`` / ``get_tracer()``
-      / ``maybe_trace_span()`` are flagged outright — the
-      collector/tracer lookup belongs before the loop, the span around
-      it;
-    * metric and trace calls (``obs.inc(...)``,
-      ``collector.observe(...)``, ``tracer.record(...)``,
-      ``tracer.trace(...)``, ``tracer.event(...)``, ...) on a
-      collector- or tracer-like receiver are flagged unless an
-      enclosing ``if obs is not None:`` (or bare ``if obs:``) guard
-      inside the loop makes the disabled cost a single boolean test.
+    * calls to ``get_collector()`` / ``maybe_span()`` are flagged
+      outright — the collector lookup belongs before the loop, the span
+      around it;
+    * collector calls (``obs.inc(...)``, ``collector.observe(...)``,
+      ``obs.span(...)``, ``obs.record(...)``, ...) on a collector-like
+      receiver are flagged unless an enclosing ``if obs is not None:``
+      (or bare ``if obs:``) guard inside the loop makes the disabled
+      cost a single boolean test.
 
     The supported pattern is loop-local plain-int accumulators flushed
     to the collector once, after the loop (see
-    ``core/peel_engines.py::peel_fixed_k_bucket``); per-request trace
-    events follow the same discipline (one guarded ``record`` per call,
-    after the loop — see the ``trace.peel.fixed_k`` hooks there).
+    ``core/peel_engines.py::peel_fixed_k_bucket``); trace events follow
+    the same discipline (one guarded ``record`` per call, after the loop
+    — see the ``trace.peel.fixed_k`` hooks there).
     """
 
     code = "KP007"
 
-    _METRIC_METHODS = frozenset(
-        {"inc", "add", "observe", "span", "record", "trace", "event"}
-    )
-    _HOISTABLE = frozenset(
-        {"get_collector", "maybe_span", "get_tracer", "maybe_trace_span"}
-    )
+    _METRIC_METHODS = frozenset({"inc", "add", "observe", "span", "record"})
+    _HOISTABLE = frozenset({"get_collector", "maybe_span"})
     _COLLECTOR_NAME = re.compile(
-        r"^(?:obs|collector|metrics|instr(?:umentation)?|tracer|trace)$"
+        r"^(?:obs|collector|metrics|instr(?:umentation)?)$"
     )
 
     def check(self, tree, path, source_lines):

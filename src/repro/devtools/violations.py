@@ -44,9 +44,10 @@ RULE_CODES: dict[str, str] = {
         "core/peel_engines.py)"
     ),
     "KP007": (
-        "per-iteration metric recording inside a peeling hot loop: "
-        "get_collector()/maybe_span() must be hoisted, and collector "
-        "calls guarded or accumulated locally and flushed after the loop"
+        "per-iteration metric or trace recording inside a peeling hot "
+        "loop: get_collector()/maybe_span() must be hoisted, and "
+        "collector calls (inc/add/observe/span/record) guarded or "
+        "accumulated locally and flushed after the loop"
     ),
     # Whole-program rules (require ``lint --analysis``).
     "KP008": (

@@ -22,7 +22,6 @@ from repro.kcore.decomposition import (
     degeneracy_ordering,
 )
 from repro.kcore.maintenance import CoreMaintainer
-from repro.kcore.order_maintenance import OrderBasedCoreMaintainer, is_valid_k_order
 from repro.kcore.onion import OnionDecomposition, onion_decomposition
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "degeneracy",
     "degeneracy_ordering",
     "CoreMaintainer",
-    "OrderBasedCoreMaintainer",
-    "is_valid_k_order",
     "OnionDecomposition",
     "onion_decomposition",
 ]

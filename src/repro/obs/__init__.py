@@ -6,15 +6,15 @@ operations per edge (O(m), Algorithm 1), per-``A_k`` skip decisions and
 touches (Theorem 1) — that wall-clock seconds cannot show.  This package
 collects exactly those quantities:
 
-* :mod:`repro.obs.instrumentation` — the collector and the process-wide
-  switch (``REPRO_OBS=1`` or :func:`collecting`),
-* :mod:`repro.obs.names` — the documented metric catalog,
+* :mod:`repro.obs.instrumentation` — the one collector and its
+  process-wide switch (``REPRO_OBS=1`` or :func:`collecting`): counters,
+  histograms, and spans that feed both per-path aggregates and a
+  bounded ring buffer of attributed trace events (trace IDs, parent
+  links, per-thread nesting, cross-process propagation for the worker
+  pool),
+* :mod:`repro.obs.names` — the documented metric and span catalog,
 * :mod:`repro.obs.snapshot` — immutable, JSON-round-trippable exports,
 * :mod:`repro.obs.report` — aligned-table rendering,
-* :mod:`repro.obs.logsink` — structured ``logging`` emission,
-* :mod:`repro.obs.trace` — opt-in per-request traces (``REPRO_TRACE=1``
-  or :func:`tracing`): trace IDs and trees of timed spans with
-  attributes, cross-process propagation for the worker pool,
 * :mod:`repro.obs.trace_export` — JSONL and Chrome trace-event
   exporters plus the latency attribution tables,
 * :mod:`repro.obs.quantiles` — shared interpolated-quantile math and
@@ -41,6 +41,8 @@ lint rule that enforces it.
 from repro.obs.instrumentation import (
     ENV_VAR,
     Instrumentation,
+    Span,
+    TraceEvent,
     collecting,
     collection_active,
     get_collector,
@@ -48,51 +50,26 @@ from repro.obs.instrumentation import (
     refresh_from_env,
     set_collector,
 )
-from repro.obs.logsink import log_snapshot, span_logger
 from repro.obs.quantiles import LATENCY_METHOD, ReservoirSketch, quantile
 from repro.obs.report import render_report
 from repro.obs.snapshot import HistogramSummary, MetricsSnapshot, SpanSummary
-from repro.obs.trace import (
-    TRACE_ENV_VAR,
-    NullTraceSpan,
-    TraceEvent,
-    Tracer,
-    TraceSpan,
-    get_tracer,
-    maybe_trace_span,
-    refresh_trace_from_env,
-    set_tracer,
-    trace_active,
-    tracing,
-)
 
 __all__ = [
     "ENV_VAR",
-    "TRACE_ENV_VAR",
     "LATENCY_METHOD",
     "Instrumentation",
     "MetricsSnapshot",
     "HistogramSummary",
     "SpanSummary",
-    "Tracer",
+    "Span",
     "TraceEvent",
-    "TraceSpan",
-    "NullTraceSpan",
     "collecting",
     "collection_active",
     "get_collector",
     "set_collector",
     "refresh_from_env",
     "maybe_span",
-    "trace_active",
-    "get_tracer",
-    "set_tracer",
-    "refresh_trace_from_env",
-    "tracing",
-    "maybe_trace_span",
     "quantile",
     "ReservoirSketch",
     "render_report",
-    "log_snapshot",
-    "span_logger",
 ]

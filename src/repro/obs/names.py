@@ -4,16 +4,17 @@ One module owns every counter/histogram/span name so the catalog in
 ``docs/observability.md``, the tests, and the recording sites cannot
 drift apart.  Names are dotted paths: the first segment is the subsystem
 (``kcore``, ``kpcore``, ``decomp``, ``maintenance``, ``index``,
-``korder``, ``service``), the rest describes the quantity.
+``service``), the rest describes the quantity.
 
 Counters count *operations* (monotone integers), histograms summarize
 *values* (window widths, answer sizes, subcore sizes), and spans measure
-nested wall-clock sections.
+nested wall-clock sections; every span also lands in the collector's
+trace-event buffer, so one catalog covers both views.
 """
 
 from __future__ import annotations
 
-__all__ = ["COUNTERS", "HISTOGRAMS", "SPANS", "TRACES", "catalog"]
+__all__ = ["COUNTERS", "HISTOGRAMS", "SPANS", "catalog"]
 
 # ----------------------------------------------------------------------
 # k-core peeling (repro.kcore.compute) — Algorithm 1's engine
@@ -124,18 +125,15 @@ SERVER_CACHE_ADMISSION_REJECTS = "service.cache.admission_rejects"
 SERVER_BATCH_SIZE = "service.server.batch_size"
 
 # ----------------------------------------------------------------------
-# incremental core maintenance (repro.kcore.maintenance /
-# repro.kcore.order_maintenance)
+# incremental core maintenance (repro.kcore.maintenance)
 # ----------------------------------------------------------------------
 KCORE_MAINT_SUBCORE_SIZE = "kcore.maint.subcore_size"
 KCORE_MAINT_PROMOTED = "kcore.maint.promoted"
 KCORE_MAINT_DEMOTED = "kcore.maint.demoted"
-KORDER_LEVELS_REBUILT = "korder.levels_rebuilt"
-KORDER_VERTICES_SHIFTED = "korder.vertices_shifted"
-KORDER_CHAIN_LENGTH = "korder.chain_length"
 
 # ----------------------------------------------------------------------
-# per-request trace spans (repro.obs.trace) — opt-in via REPRO_TRACE
+# per-request spans — the server's request roots, lock scopes, cache
+# probes and answer builds, and the per-k peel timings
 # ----------------------------------------------------------------------
 TRACE_COMMAND = "trace.command"
 TRACE_SERVER_QUERY = "trace.server.query"
@@ -217,8 +215,6 @@ COUNTERS: dict[str, str] = {
     SERVER_CACHE_ADMISSION_REJECTS: "answers below min_answer_size denied cache admission",
     KCORE_MAINT_PROMOTED: "vertices whose core number rose by an insert",
     KCORE_MAINT_DEMOTED: "vertices whose core number fell by a delete",
-    KORDER_LEVELS_REBUILT: "k-order levels rebuilt after a core change",
-    KORDER_VERTICES_SHIFTED: "vertices re-positioned by k-order rebuilds",
 }
 
 HISTOGRAMS: dict[str, str] = {
@@ -233,7 +229,6 @@ HISTOGRAMS: dict[str, str] = {
     INDEX_LEVELS_SEARCHED: "|P_k| binary-searched per query",
     SERVER_BATCH_SIZE: "queries per query_many batch on the concurrent server",
     KCORE_MAINT_SUBCORE_SIZE: "subcore sizes walked per core update",
-    KORDER_CHAIN_LENGTH: "forward-walk chain lengths per order insert",
 }
 
 SPANS: dict[str, str] = {
@@ -247,11 +242,7 @@ SPANS: dict[str, str] = {
     MAINT_SPAN_INSERT: "one kpIndexInsert update",
     MAINT_SPAN_DELETE: "one kpIndexDelete update",
     MAINT_SPAN_BATCH: "one coalesced apply_batch (multi-update) application",
-}
-
-
-TRACES: dict[str, str] = {
-    TRACE_COMMAND: "root span of a `repro trace <cmd>` run",
+    TRACE_COMMAND: "root span of a `repro profile <cmd>` run",
     TRACE_SERVER_QUERY: "one KPCoreServer.query request",
     TRACE_SERVER_QUERY_MANY: "one KPCoreServer.query_many batch",
     TRACE_SERVER_QUERY_ONE: "one (k, p) pair inside a query_many batch",
@@ -277,5 +268,4 @@ def catalog() -> dict[str, dict[str, str]]:
         "counters": dict(COUNTERS),
         "histograms": dict(HISTOGRAMS),
         "spans": dict(SPANS),
-        "traces": dict(TRACES),
     }

@@ -1,7 +1,8 @@
 """Trace exporters (JSONL, Chrome trace-event) and attribution tables.
 
-Two serialization formats for :class:`~repro.obs.trace.TraceEvent`
-buffers:
+Two serialization formats for the
+:class:`~repro.obs.instrumentation.TraceEvent` ring buffer of a
+collector:
 
 * **JSONL** — one ``TraceEvent.to_dict`` object per line; lossless,
   round-trips through :func:`read_jsonl`, greppable.
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs import names
-from repro.obs.trace import TraceEvent
+from repro.obs.instrumentation import TraceEvent
 
 __all__ = [
     "chrome_payload",

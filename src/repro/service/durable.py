@@ -174,7 +174,7 @@ class DurableMaintainer:
     on_error:
         :class:`ErrorPolicy` (or its string value) for failing updates in
         :meth:`apply`.
-    mode / strict / core_backend:
+    mode / strict:
         Forwarded to :class:`~repro.core.maintenance.KPIndexMaintainer`.
     must_exist:
         Refuse to initialize a fresh directory — ``index recover`` uses
@@ -192,7 +192,6 @@ class DurableMaintainer:
         on_error: ErrorPolicy | str = ErrorPolicy.FAIL,
         mode: MaintenanceMode = MaintenanceMode.RANGE,
         strict: bool = False,
-        core_backend: str = "traversal",
         must_exist: bool = False,
         fault_hook: Callable[[str], None] | None = None,
     ) -> None:
@@ -229,7 +228,6 @@ class DurableMaintainer:
             graph,
             mode=mode,
             strict=strict,
-            core_backend=core_backend,
             index=index,
         )
         tail = read_journal(journal_path, after_seq=checkpoint_seq)

@@ -64,14 +64,7 @@ from repro.core.index import KPIndex
 from repro.core.peel_engines import DEFAULT_ENGINE
 from repro.core.pvalue import check_p
 from repro.obs import names as metric
-from repro.obs.instrumentation import get_collector
-from repro.obs.trace import (
-    NULL_TRACE_SPAN,
-    NullTraceSpan,
-    TraceSpan,
-    get_tracer,
-    maybe_trace_span,
-)
+from repro.obs.instrumentation import Instrumentation, Span, get_collector, maybe_span
 from repro.service.durable import ApplyReport, DurableMaintainer
 from repro.service.stream import UpdateOp
 
@@ -97,12 +90,12 @@ class RWLock:
     thread must not acquire the write lock while holding the read lock
     (or vice versa).
 
-    When tracing is on (``REPRO_TRACE=1``), each acquisition records a
+    When collection is on (``REPRO_OBS=1``), each acquisition records a
     ``trace.lock.*.wait`` event (time blocked before entry) and wraps
     the scope body in a ``trace.lock.*.hold`` span, both attributed to
     the caller-supplied ``site`` label — the data behind the lock-wait /
-    lock-hold buckets of the attribution table.  With tracing off, the
-    cost is one cached ``None`` check per acquisition.
+    lock-hold buckets of the attribution table.  With collection off,
+    the cost is one cached ``None`` check per acquisition.
     """
 
     def __init__(self) -> None:
@@ -140,8 +133,8 @@ class RWLock:
 
     @contextmanager
     def read_locked(self, site: str = "") -> Iterator[None]:
-        tracer = get_tracer()
-        if tracer is None:
+        obs = get_collector()
+        if obs is None:
             self._acquire_read()
             try:
                 yield
@@ -150,22 +143,22 @@ class RWLock:
             return
         wait_start = time.perf_counter()
         self._acquire_read()
-        tracer.record(
+        obs.record(
             metric.TRACE_LOCK_READ_WAIT,
             wait_start,
             time.perf_counter(),
             site=site,
         )
         try:
-            with tracer.span(metric.TRACE_LOCK_READ_HOLD, site=site):
+            with obs.span(metric.TRACE_LOCK_READ_HOLD, site=site):
                 yield
         finally:
             self._release_read()
 
     @contextmanager
     def write_locked(self, site: str = "") -> Iterator[None]:
-        tracer = get_tracer()
-        if tracer is None:
+        obs = get_collector()
+        if obs is None:
             self._acquire_write()
             try:
                 yield
@@ -174,14 +167,14 @@ class RWLock:
             return
         wait_start = time.perf_counter()
         self._acquire_write()
-        tracer.record(
+        obs.record(
             metric.TRACE_LOCK_WRITE_WAIT,
             wait_start,
             time.perf_counter(),
             site=site,
         )
         try:
-            with tracer.span(metric.TRACE_LOCK_WRITE_HOLD, site=site):
+            with obs.span(metric.TRACE_LOCK_WRITE_HOLD, site=site):
                 yield
         finally:
             self._release_write()
@@ -261,10 +254,11 @@ class QueryCache:
         self, k: int, level: int, version: int
     ) -> tuple[Vertex, ...] | None:
         """The cached answer for ``(k, level)`` at exactly ``version``."""
-        tracer = get_tracer()
-        if tracer is None:
-            # Untraced hit fast path, duplicated from _get to skip one
-            # call frame — see _get for why it is safe without the lock.
+        obs = get_collector()
+        if obs is None:
+            # Uninstrumented hit fast path, duplicated from _get to skip
+            # one call frame — see _get for why it is safe without the
+            # lock.
             key = (k, level)
             entry = self._entries.get(key)
             if entry is not None and entry[0] == version:
@@ -273,14 +267,11 @@ class QueryCache:
                 except KeyError:
                     pass  # concurrently evicted; the answer stays fresh
                 self.hits += 1
-                obs = get_collector()
-                if obs is not None:
-                    obs.inc(metric.SERVER_CACHE_HITS)
                 return entry[1]
-            return self._get(k, level, version)
+            return self._get(k, level, version, None)
         start = time.perf_counter()
-        cached = self._get(k, level, version)
-        tracer.record(
+        cached = self._get(k, level, version, obs)
+        obs.record(
             metric.TRACE_CACHE_PROBE,
             start,
             time.perf_counter(),
@@ -291,7 +282,7 @@ class QueryCache:
         return cached
 
     def _get(
-        self, k: int, level: int, version: int
+        self, k: int, level: int, version: int, obs: Instrumentation | None
     ) -> tuple[Vertex, ...] | None:
         # Lock-free hit path: C-implemented OrderedDict ops are atomic
         # under the GIL, the entry tuple is immutable, and purges run
@@ -312,11 +303,9 @@ class QueryCache:
             except KeyError:
                 pass  # concurrently evicted; the answer is still fresh
             self.hits += 1
-            obs = get_collector()
             if obs is not None:
                 obs.inc(metric.SERVER_CACHE_HITS)
             return entry[1]
-        obs = get_collector()
         with self._mutex:
             stale = self._entries.get(key)
             if stale is not None and stale[0] != version:
@@ -335,13 +324,13 @@ class QueryCache:
     def put(
         self, k: int, level: int, version: int, answer: tuple[Vertex, ...]
     ) -> None:
-        tracer = get_tracer()
-        if tracer is None:
-            self._put(k, level, version, answer)
+        obs = get_collector()
+        if obs is None:
+            self._put(k, level, version, answer, None)
             return
         start = time.perf_counter()
-        admitted = self._put(k, level, version, answer)
-        tracer.record(
+        admitted = self._put(k, level, version, answer, obs)
+        obs.record(
             metric.TRACE_CACHE_FILL,
             start,
             time.perf_counter(),
@@ -352,9 +341,13 @@ class QueryCache:
         )
 
     def _put(
-        self, k: int, level: int, version: int, answer: tuple[Vertex, ...]
+        self,
+        k: int,
+        level: int,
+        version: int,
+        answer: tuple[Vertex, ...],
+        obs: Instrumentation | None,
     ) -> bool:
-        obs = get_collector()
         with self._mutex:
             if len(answer) < self.min_answer_size:
                 self.admission_rejects += 1
@@ -376,12 +369,12 @@ class QueryCache:
 
     def purge_k(self, k: int) -> int:
         """Drop every entry of ``k``; returns how many were dropped."""
-        tracer = get_tracer()
-        if tracer is None:
-            return self._purge_k(k)
+        obs = get_collector()
+        if obs is None:
+            return self._purge_k(k, None)
         start = time.perf_counter()
-        dropped = self._purge_k(k)
-        tracer.record(
+        dropped = self._purge_k(k, obs)
+        obs.record(
             metric.TRACE_CACHE_PURGE,
             start,
             time.perf_counter(),
@@ -390,8 +383,7 @@ class QueryCache:
         )
         return dropped
 
-    def _purge_k(self, k: int) -> int:
-        obs = get_collector()
+    def _purge_k(self, k: int, obs: Instrumentation | None) -> int:
         with self._mutex:
             levels = self._by_k.pop(k, None)
             if not levels:
@@ -542,12 +534,14 @@ class KPCoreServer:
         touching — or poisoning — the cache.
         """
         self._validate(k, p)
-        obs = get_collector()
-        if obs is not None:
-            obs.inc(metric.SERVER_QUERIES)
         with self._queries_mutex:
             self._queries += 1
-        with maybe_trace_span(metric.TRACE_SERVER_QUERY, k=k, p=p) as span:
+        obs = get_collector()
+        if obs is None:
+            with self._lock.read_locked(site="query"):
+                return self._answer_locked(k, p)
+        obs.inc(metric.SERVER_QUERIES)
+        with obs.span(metric.TRACE_SERVER_QUERY, k=k, p=p) as span:
             with self._lock.read_locked(site="query"):
                 return self._answer_locked(k, p, span)
 
@@ -563,55 +557,49 @@ class KPCoreServer:
         """
         for k, p in pairs:
             self._validate(k, p)
-        obs = get_collector()
-        if obs is not None:
-            obs.observe(metric.SERVER_BATCH_SIZE, len(pairs))
-            obs.inc(metric.SERVER_QUERIES, len(pairs))
         with self._queries_mutex:
             self._queries += len(pairs)
-        with maybe_trace_span(
-            metric.TRACE_SERVER_QUERY_MANY, pairs=len(pairs)
-        ):
+        obs = get_collector()
+        if obs is None:
             with self._lock.read_locked(site="query_many"):
-                tracer = get_tracer()
-                if tracer is None:
-                    return [self._answer_locked(k, p) for k, p in pairs]
+                return [self._answer_locked(k, p) for k, p in pairs]
+        obs.observe(metric.SERVER_BATCH_SIZE, len(pairs))
+        obs.inc(metric.SERVER_QUERIES, len(pairs))
+        with obs.span(metric.TRACE_SERVER_QUERY_MANY, pairs=len(pairs)):
+            with self._lock.read_locked(site="query_many"):
                 answers: list[Sequence[Vertex]] = []
                 for k, p in pairs:
-                    with tracer.span(
+                    with obs.span(
                         metric.TRACE_SERVER_QUERY_ONE, k=k, p=p
                     ) as span:
                         answers.append(self._answer_locked(k, p, span))
                 return answers
 
     def _answer_locked(
-        self,
-        k: int,
-        p: float,
-        span: TraceSpan | NullTraceSpan = NULL_TRACE_SPAN,
+        self, k: int, p: float, span: Span | None = None
     ) -> Sequence[Vertex]:
         # The served-queries counter and obs bump happen once per entry
         # point (query / query_many batch), not here: a mutex hold per
         # answer on the batched read path cost more than a cache hit.
-        traced = span is not NULL_TRACE_SPAN
+        # ``span`` is the open request span when collection is on.
         cache = self._cache
         if cache is None:
             answer = self._answer_built(k, p)
-            if traced:
+            if span is not None:
                 span.set("cache_hit", False)
                 span.set("answer_size", len(answer))
             return answer
         version, level = self._index.answer_key(k, p)
         cached = cache.get(k, level, version)
         if cached is not None:
-            if traced:
+            if span is not None:
                 span.set("version", version)
                 span.set("cache_hit", True)
                 span.set("answer_size", len(cached))
             return cached
         answer = self._answer_built(k, p)
         cache.put(k, level, version, answer)
-        if traced:
+        if span is not None:
             span.set("version", version)
             span.set("cache_hit", False)
             span.set("answer_size", len(answer))
@@ -619,11 +607,11 @@ class KPCoreServer:
 
     def _answer_built(self, k: int, p: float) -> tuple[Vertex, ...]:
         """Fetch the stored answer slice for a miss, under a
-        ``trace.query.answer`` span when tracing is on."""
-        tracer = get_tracer()
-        if tracer is None:
+        ``trace.query.answer`` span when collection is on."""
+        obs = get_collector()
+        if obs is None:
             return self._durable.query_slice(k, p)
-        with tracer.span(metric.TRACE_QUERY_ANSWER, k=k, p=p) as span:
+        with obs.span(metric.TRACE_QUERY_ANSWER, k=k, p=p) as span:
             answer = self._durable.query_slice(k, p)
             span.set("answer_size", len(answer))
             return answer
@@ -641,7 +629,7 @@ class KPCoreServer:
         raises under ``ErrorPolicy.FAIL``: whatever prefix was applied
         has mutated the index for good.
         """
-        with maybe_trace_span(metric.TRACE_SERVER_APPLY):
+        with maybe_span(metric.TRACE_SERVER_APPLY):
             with self._lock.write_locked(site="apply"):
                 before = self.index.versions()
                 try:
@@ -670,7 +658,7 @@ class KPCoreServer:
         re-peels are.  Readers never observe a half-applied batch: the
         write lock spans validation, mutation, and purge.
         """
-        with maybe_trace_span(metric.TRACE_SERVER_APPLY):
+        with maybe_span(metric.TRACE_SERVER_APPLY):
             with self._lock.write_locked(site="apply_batch"):
                 before = self.index.versions()
                 try:
@@ -685,7 +673,7 @@ class KPCoreServer:
 
     def insert_edge(self, u: Vertex, v: Vertex) -> None:
         """Journal, apply, and invalidate for one edge insertion."""
-        with maybe_trace_span(metric.TRACE_SERVER_INSERT):
+        with maybe_span(metric.TRACE_SERVER_INSERT):
             with self._lock.write_locked(site="insert_edge"):
                 before = self.index.versions()
                 try:
@@ -695,7 +683,7 @@ class KPCoreServer:
 
     def delete_edge(self, u: Vertex, v: Vertex) -> None:
         """Journal, apply, and invalidate for one edge deletion."""
-        with maybe_trace_span(metric.TRACE_SERVER_DELETE):
+        with maybe_span(metric.TRACE_SERVER_DELETE):
             with self._lock.write_locked(site="delete_edge"):
                 before = self.index.versions()
                 try:
@@ -709,7 +697,7 @@ class KPCoreServer:
         Checkpoints do not mutate any ``A_k``, so the cache keeps
         serving across them.
         """
-        with maybe_trace_span(metric.TRACE_SERVER_CHECKPOINT):
+        with maybe_span(metric.TRACE_SERVER_CHECKPOINT):
             with self._lock.write_locked(site="checkpoint"):
                 # Checkpoints block writers on purpose; readers drain
                 # first because the RWLock prefers writers.

@@ -307,27 +307,30 @@ class TestProfile:
 
 
 class TestTrace:
+    """The trace half of ``repro profile``: attribution tables and the
+    Chrome / JSONL exports."""
+
     SPEC = "ops=60,vertices=12,kmax=3,prefill=15"
 
     def _trace_args(self, tmp_path, *extra):
         return [
-            "trace", *extra,
+            "profile", *extra,
             "index", "serve-bench", str(tmp_path / "state"),
             "--workload", self.SPEC, "--threads", "1", "--seed", "1",
         ]
 
     def test_attribution_table_splits_latency_buckets(self, tmp_path, capsys):
-        trace_json = tmp_path / "trace.json"
-        assert main(
-            self._trace_args(tmp_path, "--json", str(trace_json))
-        ) == 0
+        assert main(self._trace_args(tmp_path)) == 0
         out = capsys.readouterr().out
+        assert "profile: index serve-bench" in out  # the metrics report
+        assert "service.cache.hits" in out
         assert "trace attribution" in out
         for bucket in ("lock-wait", "cache-probe", "answer-build"):
             assert bucket in out
         assert "slowest spans" in out
 
     def test_chrome_export_is_schema_valid(self, tmp_path, capsys):
+        from repro.obs import MetricsSnapshot
         from repro.obs.trace_export import validate_chrome_trace
 
         trace_json = tmp_path / "trace.json"
@@ -343,17 +346,16 @@ class TestTrace:
         # serve-bench issues batched reads, so the request root is query_many
         assert "trace.server.query_many" in names
         assert "trace.query.answer" in names
+        # the same file carries the metrics snapshot
+        snapshot = MetricsSnapshot.load(str(trace_json))
+        assert snapshot.counter("service.server.queries") > 0
 
     def test_jsonl_export_round_trips(self, tmp_path, capsys):
         from repro.obs.trace_export import read_jsonl
 
-        trace_json = tmp_path / "trace.json"
         trace_jsonl = tmp_path / "trace.jsonl"
         assert main(
-            self._trace_args(
-                tmp_path, "--json", str(trace_json),
-                "--jsonl", str(trace_jsonl),
-            )
+            self._trace_args(tmp_path, "--jsonl", str(trace_jsonl))
         ) == 0
         capsys.readouterr()
         events = read_jsonl(trace_jsonl)
@@ -361,28 +363,27 @@ class TestTrace:
         assert all(event.trace_id for event in events)
 
     def test_trace_restores_the_previous_tracer(self, tmp_path, capsys):
-        from repro.obs.trace import get_tracer
+        """An outer collector is restored and receives none of the
+        wrapped command's events."""
+        from repro.obs import collecting, get_collector
 
-        before = get_tracer()
-        main(self._trace_args(tmp_path, "--json", str(tmp_path / "t.json")))
+        with collecting() as outer:
+            main(self._trace_args(tmp_path))
+            assert get_collector() is outer
         capsys.readouterr()
-        assert get_tracer() is before
+        assert outer.events() == []
 
     def test_buffer_overflow_is_reported(self, tmp_path, capsys):
-        assert main(
-            self._trace_args(
-                tmp_path, "--json", str(tmp_path / "t.json"), "--buffer", "4"
-            )
-        ) == 0
+        assert main(self._trace_args(tmp_path, "--buffer", "4")) == 0
         out = capsys.readouterr().out
         assert "ring buffer dropped" in out
 
     def test_trace_without_command_errors(self, capsys):
-        assert main(["trace"]) == 2
+        assert main(["profile", "--json", "t.json"]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_trace_cannot_wrap_itself(self, capsys):
-        assert main(["trace", "trace", "stats", "x"]) == 2
+        assert main(["profile", "--json", "t.json", "profile", "stats", "x"]) == 2
         assert "error" in capsys.readouterr().err
 
 

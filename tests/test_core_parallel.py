@@ -149,19 +149,12 @@ class TestCrossProcessObservability:
 
     @staticmethod
     def _run(workers):
-        from repro.obs import collecting, names, set_collector
-        from repro.obs.trace import set_tracer, tracing
+        from repro.obs import collecting
 
         g = erdos_renyi_gnm(45, 180, seed=21)
-        previous_collector = set_collector(None)
-        previous_tracer = set_tracer(None)
-        try:
-            with collecting() as metrics, tracing() as tracer:
-                kp_core_decomposition(g, workers=workers)
-            return metrics.snapshot(), tracer.events()
-        finally:
-            set_collector(previous_collector)
-            set_tracer(previous_tracer)
+        with collecting() as obs:
+            kp_core_decomposition(g, workers=workers)
+        return obs.snapshot(), obs.events()
 
     @staticmethod
     def _core_counters(snapshot):
@@ -172,9 +165,20 @@ class TestCrossProcessObservability:
         }
 
     def test_merged_counters_equal_single_process_run(self):
-        serial, _ = self._run(workers=1)
-        parallel, _ = self._run(workers=3)
-        assert self._core_counters(parallel) == self._core_counters(serial)
+        from collections import Counter
+
+        serial, serial_events = self._run(workers=1)
+        for workers in (2, 3):
+            parallel, parallel_events = self._run(workers=workers)
+            assert self._core_counters(parallel) == self._core_counters(serial)
+            # the pool ships every event back: same names, same multiplicity
+            assert Counter(e.name for e in parallel_events) == Counter(
+                e.name for e in serial_events
+            )
+            # worker spans nest under the parent's open span path
+            assert {p: s.count for p, s in parallel.spans.items()} == {
+                p: s.count for p, s in serial.spans.items()
+            }
 
     def test_merged_histograms_equal_single_process_run(self):
         serial, _ = self._run(workers=1)

@@ -247,44 +247,27 @@ class TestKP007:
         assert codes(src, path=self.HOT_PATH) == []
 
     def test_unguarded_trace_record_in_loop_triggers(self):
-        src = "for k in ks:\n    tracer.record('trace.peel', a, b)\n"
-        assert codes(src, path=self.HOT_PATH) == ["KP007"]
-
-    def test_tracer_lookup_in_loop_triggers_even_if_guarded(self):
-        src = (
-            "for k in ks:\n"
-            "    tracer = get_tracer()\n"
-            "    if tracer is not None:\n"
-            "        tracer.record('trace.peel', a, b)\n"
-        )
-        assert codes(src, path=self.HOT_PATH) == ["KP007"]
-
-    def test_maybe_trace_span_in_loop_triggers(self):
-        src = (
-            "for k in ks:\n"
-            "    with maybe_trace_span('trace.peel'):\n"
-            "        work()\n"
-        )
+        src = "for k in ks:\n    obs.record('trace.peel', a, b)\n"
         assert codes(src, path=self.HOT_PATH) == ["KP007"]
 
     def test_guarded_trace_record_is_clean(self):
         src = (
-            "tracer = get_tracer()\n"
+            "obs = get_collector()\n"
             "while heap:\n"
-            "    if tracer is not None:\n"
-            "        tracer.record('trace.peel', a, b)\n"
+            "    if obs is not None:\n"
+            "        obs.record('trace.peel', a, b)\n"
         )
         assert codes(src, path=self.HOT_PATH) == []
 
     def test_post_loop_trace_record_is_clean(self):
         """The peel-engine shape: hoisted lookup, one record after the loop."""
         src = (
-            "tracer = get_tracer()\n"
+            "obs = get_collector()\n"
             "start = now()\n"
             "while heap:\n"
             "    work()\n"
-            "if tracer is not None:\n"
-            "    tracer.record('trace.peel', start, now())\n"
+            "if obs is not None:\n"
+            "    obs.record('trace.peel', start, now())\n"
         )
         assert codes(src, path=self.HOT_PATH) == []
 

@@ -1,10 +1,11 @@
-"""Unit tests for the obs subsystem: collector, switch, snapshot, sinks."""
+"""Unit tests for the obs subsystem: collector, switch, snapshot, report."""
 
 from __future__ import annotations
 
 import io
 import json
-import logging
+import sys
+import threading
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.obs import (
     collecting,
     collection_active,
     get_collector,
-    log_snapshot,
     maybe_span,
     refresh_from_env,
     render_report,
@@ -107,6 +107,75 @@ class TestSpans:
 
     def test_span_seconds_absent_path_is_zero(self):
         assert Instrumentation().span_seconds("nope") == 0.0
+
+    def test_concurrent_span_folds_lose_no_update(self):
+        """Span aggregates and the event count are folded under a lock:
+        more threads than cores and a tiny switch interval lose nothing."""
+        m = Instrumentation()
+        threads_n, rounds = 6, 500
+
+        def work():
+            for _ in range(rounds):
+                m.record("wait", 0.0, 1e-6)
+                with m.span("hold"):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        spans = m.snapshot().spans
+        assert spans["wait"].count == threads_n * rounds
+        assert spans["hold"].count == threads_n * rounds
+        assert m.recorded == len(m.events()) == 2 * threads_n * rounds
+
+    def test_threads_nest_spans_on_their_own_stacks(self):
+        """Two threads nesting spans on one collector never parent under
+        each other: each keeps its own stack, for the path aggregates and
+        for the event parent links alike."""
+        m = Instrumentation()
+        rounds = 200
+        barrier = threading.Barrier(2)
+
+        def work(name):
+            # The barriers force both threads to hold their spans open at
+            # the same time, so a shared stack would interleave them.
+            for _ in range(rounds):
+                with m.span(name):
+                    barrier.wait()
+                    with m.span("child"):
+                        barrier.wait()
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        spans = m.snapshot().spans
+        assert {path: s.count for path, s in spans.items()} == {
+            "a": rounds,
+            "a/child": rounds,
+            "b": rounds,
+            "b/child": rounds,
+        }
+        events = m.events()
+        assert len(events) == 4 * rounds
+        by_id = {event.span_id: event for event in events}
+        for event in events:
+            if event.name == "child":
+                parent = by_id[event.parent_id]
+                assert parent.tid == event.tid
+                assert parent.name in ("a", "b")
+            else:
+                assert event.parent_id is None
 
 
 # ----------------------------------------------------------------------
@@ -233,27 +302,6 @@ class TestReport:
         for rows_fn in (counter_rows, histogram_rows):
             _, rows = rows_fn(snapshot)
             assert [r[0] for r in rows] == sorted(r[0] for r in rows)
-
-
-class TestLogSink:
-    def test_log_snapshot_emits_one_record_per_metric(self, caplog):
-        snapshot = _populated_snapshot()
-        with caplog.at_level(logging.INFO, logger="repro.obs"):
-            emitted = log_snapshot(snapshot)
-        expected = (
-            len(snapshot.counters)
-            + len(snapshot.histograms)
-            + len(snapshot.spans)
-        )
-        assert emitted == expected
-        assert len(caplog.records) == expected
-        kinds = {r.metric_kind for r in caplog.records}
-        assert kinds == {"counter", "histogram", "span"}
-
-    def test_empty_snapshot_logs_nothing(self, caplog):
-        with caplog.at_level(logging.INFO, logger="repro.obs"):
-            assert log_snapshot(MetricsSnapshot()) == 0
-        assert not caplog.records
 
 
 # ----------------------------------------------------------------------

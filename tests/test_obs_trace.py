@@ -1,4 +1,5 @@
-"""Unit tests for per-request tracing: spans, buffer, switch, exporters."""
+"""Unit tests for the trace view of the collector: attributed span
+events, the ring buffer, cross-process propagation, and the exporters."""
 
 from __future__ import annotations
 
@@ -9,18 +10,15 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.obs import names
-from repro.obs.trace import (
-    DEFAULT_BUFFER_SIZE,
-    NULL_TRACE_SPAN,
-    TRACE_ENV_VAR,
+from repro.obs.instrumentation import (
+    ENV_VAR,
+    Instrumentation,
     TraceEvent,
-    Tracer,
-    get_tracer,
-    maybe_trace_span,
-    refresh_trace_from_env,
-    set_tracer,
-    trace_active,
-    tracing,
+    collecting,
+    collection_active,
+    get_collector,
+    refresh_from_env,
+    set_collector,
 )
 from repro.obs.trace_export import (
     attribution_rows,
@@ -35,11 +33,11 @@ from repro.obs.trace_export import (
 
 
 @pytest.fixture(autouse=True)
-def _no_ambient_tracer():
-    """Isolate every test from a REPRO_TRACE tracer installed at import."""
-    previous = set_tracer(None)
+def _no_ambient_collector():
+    """Isolate every test from a REPRO_OBS collector installed at import."""
+    previous = set_collector(None)
     yield
-    set_tracer(previous)
+    set_collector(previous)
 
 
 # ----------------------------------------------------------------------
@@ -47,11 +45,11 @@ def _no_ambient_tracer():
 # ----------------------------------------------------------------------
 class TestSpans:
     def test_nested_spans_share_trace_and_link_parent(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner"):
+        obs = Instrumentation()
+        with obs.span("outer") as outer:
+            with obs.span("inner"):
                 pass
-        inner_event, outer_event = tracer.events()
+        inner_event, outer_event = obs.events()
         assert inner_event.name == "inner"
         assert outer_event.name == "outer"
         assert inner_event.trace_id == outer_event.trace_id
@@ -60,82 +58,76 @@ class TestSpans:
         assert outer.span_id == outer_event.span_id
 
     def test_sibling_roots_get_distinct_traces(self):
-        tracer = Tracer()
-        with tracer.span("a"):
+        obs = Instrumentation()
+        with obs.span("a"):
             pass
-        with tracer.span("b"):
+        with obs.span("b"):
             pass
-        a, b = tracer.events()
+        a, b = obs.events()
         assert a.trace_id != b.trace_id
 
     def test_children_are_time_contained_in_parent(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
+        obs = Instrumentation()
+        with obs.span("outer"):
+            with obs.span("inner"):
                 pass
-        inner, outer = tracer.events()
+        inner, outer = obs.events()
         assert outer.ts <= inner.ts
         assert inner.ts + inner.dur <= outer.ts + outer.dur + 1e-6
 
     def test_set_attaches_attributes(self):
-        tracer = Tracer()
-        with tracer.span("q", k=3) as span:
+        obs = Instrumentation()
+        with obs.span("q", k=3) as span:
             span.set("answer_size", 17)
-        (event,) = tracer.events()
+        (event,) = obs.events()
         assert event.attrs == {"k": 3, "answer_size": 17}
 
     def test_record_parents_under_open_span(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            tracer.record("wait", 1.0, 1.5, site="query")
-        wait, outer = tracer.events()
+        obs = Instrumentation()
+        with obs.span("outer"):
+            obs.record("wait", 1.0, 1.5, site="query")
+        wait, outer = obs.events()
         assert wait.name == "wait"
         assert wait.parent_id == outer.span_id
         assert wait.dur == pytest.approx(0.5)
         assert wait.attrs == {"site": "query"}
 
     def test_record_clamps_negative_durations(self):
-        tracer = Tracer()
-        event = tracer.record("wait", 2.0, 1.0)
+        obs = Instrumentation()
+        event = obs.record("wait", 2.0, 1.0)
         assert event.dur == 0.0
 
 
 class TestBuffer:
     def test_ring_buffer_drops_oldest(self):
-        tracer = Tracer(buffer_size=2)
+        obs = Instrumentation(buffer_size=2)
         for name in ("a", "b", "c"):
-            with tracer.span(name):
+            with obs.span(name):
                 pass
-        assert [event.name for event in tracer.events()] == ["b", "c"]
-        assert tracer.recorded == 3
-        assert tracer.dropped == 1
+        assert [event.name for event in obs.events()] == ["b", "c"]
+        assert obs.recorded == 3
+        assert obs.dropped == 1
 
     def test_invalid_buffer_size_rejected(self):
         with pytest.raises(ParameterError, match="buffer"):
-            Tracer(buffer_size=0)
-
-    def test_buffer_size_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_BUFFER", "3")
-        assert Tracer().buffer_size == 3
-        monkeypatch.setenv("REPRO_TRACE_BUFFER", "garbage")
-        assert Tracer().buffer_size == DEFAULT_BUFFER_SIZE
+            Instrumentation(buffer_size=0)
 
     def test_clear_resets_counts(self):
-        tracer = Tracer()
-        with tracer.span("a"):
+        obs = Instrumentation()
+        with obs.span("a"):
             pass
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.recorded == 0
-        assert tracer.dropped == 0
+        obs.reset()
+        assert obs.events() == []
+        assert obs.recorded == 0
+        assert obs.dropped == 0
 
 
 class TestEventSerialization:
     def test_to_dict_round_trips(self):
-        tracer = Tracer()
-        with tracer.span("q", k=2, hit=True):
+        obs = Instrumentation()
+        with obs.span("q", k=2, hit=True):
             pass
-        (event,) = tracer.events()
+        (event,) = obs.events()
         clone = TraceEvent.from_dict(json.loads(json.dumps(event.to_dict())))
         assert clone.to_dict() == event.to_dict()
 
@@ -145,42 +137,44 @@ class TestEventSerialization:
 # ----------------------------------------------------------------------
 class TestSwitch:
     def test_off_by_default_in_tests(self):
-        assert get_tracer() is None
-        assert not trace_active()
-
-    def test_maybe_trace_span_is_the_shared_null_when_off(self):
-        span = maybe_trace_span("server.query", k=1)
-        assert span is NULL_TRACE_SPAN
-        with span as s:
-            s.set("k", 9)  # no-op, never raises
+        assert get_collector() is None
+        assert not collection_active()
 
     def test_tracing_scopes_and_restores(self):
-        sentinel = Tracer()
-        set_tracer(sentinel)
-        with tracing() as tracer:
-            assert get_tracer() is tracer
-            assert tracer is not sentinel
-        assert get_tracer() is sentinel
+        """Events recorded inside collecting() land in the scoped
+        collector; the previous collector is restored and untouched."""
+        sentinel = Instrumentation()
+        set_collector(sentinel)
+        with collecting() as obs:
+            assert get_collector() is obs
+            assert obs is not sentinel
+            with obs.span(names.TRACE_SERVER_QUERY):
+                pass
+        assert get_collector() is sentinel
+        assert [event.name for event in obs.events()] == [
+            names.TRACE_SERVER_QUERY
+        ]
+        assert sentinel.events() == []
 
     def test_refresh_from_env_installs_and_clears(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV_VAR, "1")
-        assert refresh_trace_from_env() is True
-        installed = get_tracer()
+        monkeypatch.setenv(ENV_VAR, "1")
+        assert refresh_from_env() is True
+        installed = get_collector()
         assert installed is not None
-        assert refresh_trace_from_env() is True
-        assert get_tracer() is installed  # kept, not replaced
-        monkeypatch.delenv(TRACE_ENV_VAR)
-        assert refresh_trace_from_env() is False
-        assert get_tracer() is None
+        assert refresh_from_env() is True
+        assert get_collector() is installed  # kept, not replaced
+        monkeypatch.delenv(ENV_VAR)
+        assert refresh_from_env() is False
+        assert get_collector() is None
 
     def test_disabled_hot_path_emits_zero_events(self):
-        """With tracing off the peel engines must not record anything."""
+        """With collection off the peel engines must not record anything."""
         from repro.core.decomposition import kp_core_decomposition
         from repro.graph.generators import erdos_renyi_gnm
 
         g = erdos_renyi_gnm(30, 90, seed=2)
         kp_core_decomposition(g)
-        assert get_tracer() is None  # nothing got installed as a side effect
+        assert get_collector() is None  # nothing got installed as a side effect
 
 
 # ----------------------------------------------------------------------
@@ -188,32 +182,38 @@ class TestSwitch:
 # ----------------------------------------------------------------------
 class TestPropagation:
     def test_context_captures_innermost_span(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            trace_id, span_id = tracer.context()
+        obs = Instrumentation()
+        with obs.span("outer") as outer:
+            trace_id, span_id, path = obs.context()
             assert trace_id == outer.trace_id
             assert span_id == outer.span_id
+            assert path == "outer"
 
     def test_worker_tracer_parents_under_context(self):
-        parent = Tracer()
+        parent = Instrumentation()
         with parent.span("decomp") as root:
             ctx = parent.context()
-        worker = Tracer(context=ctx)
+        worker = Instrumentation(context=ctx)
         with worker.span("peel", k=3):
             pass
         (peel,) = worker.events()
         assert peel.trace_id == root.trace_id
         assert peel.parent_id == root.span_id
+        # the worker's aggregate path nests under the parent's open span
+        assert set(worker.snapshot().spans) == {"decomp/peel"}
 
     def test_absorb_merges_serialized_events(self):
-        parent = Tracer()
+        parent = Instrumentation()
         with parent.span("decomp"):
             ctx = parent.context()
-        worker = Tracer(context=ctx)
+        worker = Instrumentation(context=ctx)
         with worker.span("peel", k=1):
             pass
-        payloads = [event.to_dict() for event in worker.events()]
-        assert parent.absorb(payloads) == 1
+        worker.inc("decomp.rounds")
+        parent.merge(worker.payload())
+        assert parent.recorded == 2
+        assert parent.counter("decomp.rounds") == 1
+        assert set(parent.snapshot().spans) == {"decomp", "decomp/peel"}
         names_seen = {event.name for event in parent.events()}
         assert names_seen == {"decomp", "peel"}
         span_ids = {event.span_id for event in parent.events()}
@@ -229,22 +229,22 @@ class TestPropagation:
 # exporters
 # ----------------------------------------------------------------------
 def _sample_events() -> list[TraceEvent]:
-    tracer = Tracer()
-    with tracer.span(names.TRACE_SERVER_QUERY, k=2, p=0.5):
+    obs = Instrumentation()
+    with obs.span(names.TRACE_SERVER_QUERY, k=2, p=0.5):
         wait_start = time.perf_counter()
         sum(range(1000))  # a real (tiny) wait so timestamps nest properly
-        tracer.record(
+        obs.record(
             names.TRACE_LOCK_READ_WAIT,
             wait_start,
             time.perf_counter(),
             site="query",
         )
-        with tracer.span(names.TRACE_LOCK_READ_HOLD, site="query"):
-            with tracer.span(names.TRACE_CACHE_PROBE, hit=False):
+        with obs.span(names.TRACE_LOCK_READ_HOLD, site="query"):
+            with obs.span(names.TRACE_CACHE_PROBE, hit=False):
                 pass
-            with tracer.span(names.TRACE_QUERY_ANSWER):
+            with obs.span(names.TRACE_QUERY_ANSWER):
                 pass
-    return tracer.events()
+    return obs.events()
 
 
 class TestChromeExport:
@@ -343,6 +343,6 @@ class TestAttribution:
 class TestCatalog:
     def test_trace_names_are_catalogued(self):
         catalog = names.catalog()
-        assert "traces" in catalog
-        assert names.TRACE_SERVER_QUERY in catalog["traces"]
-        assert names.TRACE_PEEL_FIXED_K in catalog["traces"]
+        assert set(catalog) == {"counters", "histograms", "spans"}
+        assert names.TRACE_SERVER_QUERY in catalog["spans"]
+        assert names.TRACE_PEEL_FIXED_K in catalog["spans"]

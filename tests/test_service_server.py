@@ -32,8 +32,7 @@ from repro.bench.serving import (
     run_differential_probes,
     run_serve_bench,
 )
-from repro.obs import names
-from repro.obs.trace import tracing
+from repro.obs import collecting, names
 from repro.service import (
     DurableMaintainer,
     KPCoreServer,
@@ -575,7 +574,7 @@ class TestLockHoldBounds:
         was the entire p99 == max tail in the committed baseline."""
         spec = "ops=150,query=8,insert=1,delete=1,vertices=30,kmax=4,prefill=60"
         with make_server(str(tmp_path)) as server:
-            with tracing() as tracer:
+            with collecting() as obs:
                 for op in generate_workload(spec, seed=4):
                     if op[0] == "query":
                         server.query(op[1], op[2])
@@ -583,7 +582,7 @@ class TestLockHoldBounds:
                         server.insert_edge(op[1], op[2])
                     else:
                         server.delete_edge(op[1], op[2])
-                events = tracer.events()
+                events = obs.events()
         query_spans = {
             e.span_id: e
             for e in events
