@@ -1,8 +1,8 @@
 """Record the decomposition performance baseline into ``BENCH_decomp.json``.
 
 Standalone script (not a pytest-benchmark case): it times the full
-Algorithm 2 decomposition on one builtin dataset across every peel engine
-and a worker-count sweep, and writes the committed baseline file that
+Algorithm 2 decomposition (the peel kernel) on one builtin dataset over a
+worker-count sweep, and writes the committed baseline file that
 future performance PRs compare against.
 
 Run from the repository root::
@@ -25,7 +25,6 @@ from typing import Sequence
 
 from repro.bench.provenance import run_provenance
 from repro.core.decomposition import kp_core_decomposition
-from repro.core.peel_engines import DEFAULT_ENGINE, available_engines
 from repro.datasets import load
 
 __all__ = ["main", "record_baseline"]
@@ -36,34 +35,29 @@ def record_baseline(
     repeat: int = 3,
     worker_counts: Sequence[int] = (1, 4),
 ) -> dict[str, object]:
-    """Time every engine (serial) and worker count (default engine).
+    """Time the decomposition at every worker count.
 
-    Repeats are **interleaved across configurations** — round-robin, one
-    timed run of every configuration per round — rather than run
-    back-to-back per configuration.  The baseline's primary consumers
-    compare rows against each other (is flat 3x bucket? does workers=4
-    beat workers=1?), and on a noisy host consecutive repeats let one
-    slow scheduling window land entirely on one row and skew every
-    ratio; interleaving spreads the noise over all rows evenly.
+    Repeats are **interleaved across worker counts** — round-robin, one
+    timed run of every count per round — rather than run back-to-back
+    per count.  The baseline's consumers compare rows against each other
+    (does workers=4 beat workers=1?), and on a noisy host consecutive
+    repeats let one slow scheduling window land entirely on one row and
+    skew the ratio; interleaving spreads the noise over all rows evenly.
     """
     graph = load(dataset)
-    configs: list[tuple[str, int]] = [
-        (engine, 1) for engine in available_engines()
-    ] + [(DEFAULT_ENGINE, w) for w in worker_counts if w != 1]
-    times: dict[tuple[str, int], list[float]] = {c: [] for c in configs}
+    times: dict[int, list[float]] = {w: [] for w in worker_counts}
     for _ in range(repeat):
-        for engine, workers in configs:
+        for workers in times:
             start = time.perf_counter()
-            kp_core_decomposition(graph, engine=engine, workers=workers)
-            times[(engine, workers)].append(time.perf_counter() - start)
+            kp_core_decomposition(graph, workers=workers)
+            times[workers].append(time.perf_counter() - start)
     entries: list[dict[str, object]] = [
         {
-            "engine": engine,
             "workers": workers,
             "min_s": round(min(samples), 4),
             "median_s": round(median(samples), 4),
         }
-        for (engine, workers), samples in times.items()
+        for workers, samples in times.items()
     ]
     cpus = os.cpu_count() or 1
     payload: dict[str, object] = {
@@ -102,8 +96,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         handle.write("\n")
     for entry in baseline["entries"]:
         print(
-            f"{baseline['dataset']}: engine={entry['engine']} "
-            f"workers={entry['workers']} min={entry['min_s']}s "
+            f"{baseline['dataset']}: workers={entry['workers']} "
+            f"min={entry['min_s']}s "
             f"median={entry['median_s']}s"
         )
     print(f"wrote {args.output}")

@@ -40,7 +40,6 @@ from repro.errors import ReproError, VertexLabelError
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.metrics import summarize
 from repro.core.decomposition import p_numbers_fixed_k
-from repro.core.peel_engines import DEFAULT_ENGINE, available_engines
 from repro.core.index import KPIndex
 from repro.core.kpcore import kp_core_vertices
 from repro.kcore.decomposition import core_decomposition
@@ -94,18 +93,16 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         return 2
     graph = _read_graph(args.file)
     if args.k is not None:
-        pn = p_numbers_fixed_k(graph, args.k, engine=args.engine)
+        pn = p_numbers_fixed_k(graph, args.k)
         print(f"# p-numbers for k={args.k}: {len(pn)} vertices in the k-core")
         for v, value in sorted(pn.items(), key=lambda item: (item[1], repr(item[0]))):
             print(f"{v}\t{value:.6f}")
         return 0
     from repro.core.decomposition import kp_core_decomposition
 
-    decomposition = kp_core_decomposition(
-        graph, engine=args.engine, workers=args.workers
-    )
+    decomposition = kp_core_decomposition(graph, workers=args.workers)
     print(f"# decomposition: degeneracy={decomposition.degeneracy}, "
-          f"engine={args.engine}, workers={args.workers}")
+          f"workers={args.workers}")
     for k in range(1, decomposition.degeneracy + 1):
         fixed = decomposition.arrays[k]
         p_max = max(fixed.p_numbers, default=0.0)
@@ -436,10 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed degree threshold (omit for the full decomposition)",
     )
     p_dec.add_argument(
-        "--engine", choices=available_engines(), default=DEFAULT_ENGINE,
-        help="peeling backend (default: %(default)s)",
-    )
-    p_dec.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="worker processes for the full decomposition (default: 1)",
     )
@@ -598,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diff",
         help="regression-diff two bench JSON files",
         description="Matches entries of OLD and NEW on their identity "
-        "keys (dataset/engine/workers/spec/seed/threads/cache), compares "
+        "keys (dataset/workers/spec/seed/threads/cache), compares "
         "every directional metric, and exits nonzero when any metric "
         "regressed beyond the tolerance or an entry disappeared.",
     )

@@ -250,12 +250,7 @@ class KArray:
         pieces are disjoint and level-sorted overall; ``__post_init__``
         invariants are re-checked.
         """
-        prefix_end = 0
-        for pn in self.p_numbers:
-            if pn < keep_below:
-                prefix_end += 1
-            else:
-                break
+        prefix_end = bisect_left(self.p_numbers, keep_below)
         new_vertices = self.vertices[:prefix_end] + list(segment_vertices)
         new_p_numbers = self.p_numbers[:prefix_end] + list(segment_p_numbers)
         for v in tail_from:

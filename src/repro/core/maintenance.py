@@ -30,7 +30,7 @@ windows above are unioned per affected ``A_k``, and each array re-peels
 exactly **once** per batch — membership-stable arrays through the unioned
 ``[p_-, p_+]`` window, membership-churned arrays through one shared
 :class:`~repro.graph.compact.CompactAdjacency` snapshot and the Algorithm 2
-peel engines (optionally fanned across the ``repro.core.parallel`` worker
+peel kernel (optionally fanned across the ``repro.core.parallel`` worker
 pool).  Version counters consequently bump once per touched array per
 batch, which is what lets the serving cache invalidate once instead of
 once per edge (see docs/algorithms.md, "Batched maintenance").
@@ -39,10 +39,8 @@ once per edge (see docs/algorithms.md, "Batched maintenance").
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from bisect import bisect_left
-from heapq import heappush, heappop, heapify
 from typing import Callable, Iterable, Sequence
 
 from repro.devtools.contracts import (
@@ -71,7 +69,8 @@ from repro.core.bounds import (
 )
 from repro.core.index import KArray, KPIndex
 from repro.core.parallel import peel_all_k
-from repro.core.peel_engines import DEFAULT_ENGINE, get_engine, make_scratch
+from repro.core.peel_engines import ENGINES, make_scratch
+from repro.core.peel_flat import peel_residual
 from repro.core.pvalue import fraction_value
 
 __all__ = [
@@ -199,14 +198,6 @@ def coalesce_updates(
         if surviving:
             net.append(("insert" if current[edge] else "delete", u, v))
     return net, cancelled
-
-
-@dataclass
-class _PeelResult:
-    order: list[Vertex] = field(default_factory=list)
-    p_numbers: list[float] = field(default_factory=list)
-    tail: list[Vertex] = field(default_factory=list)
-    stopped_early: bool = False
 
 
 class KPIndexMaintainer:
@@ -342,7 +333,6 @@ class KPIndexMaintainer:
         self,
         updates: Iterable[tuple[str, Vertex, Vertex]],
         *,
-        engine: str = DEFAULT_ENGINE,
         workers: int = 1,
     ) -> BatchReport:
         """Apply a mixed batch of ``(op, u, v)`` updates, coalesced.
@@ -359,9 +349,9 @@ class KPIndexMaintainer:
           when the unioned support bound meets the unioned cap — the
           batched form of Theorem 6);
         * arrays whose k-core membership churned re-peel in full through
-          one shared :class:`CompactAdjacency` snapshot and the selected
-          Algorithm 2 peel ``engine`` (scratch reused across ks;
-          ``workers > 1`` fans these across the process pool).
+          one shared :class:`CompactAdjacency` snapshot and the Algorithm 2
+          peel kernel (scratch reused across ks; ``workers > 1`` fans
+          these across the process pool).
 
         Each touched array bumps its version once per batch, so serving
         caches invalidate once instead of once per edge.  A coalesced
@@ -371,7 +361,6 @@ class KPIndexMaintainer:
         """
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
-        get_engine(engine)  # validate the name before any mutation
         ops, cancelled = coalesce_updates(self.graph, updates)
         self.stats.batches += 1
         self.stats.batch_cancelled_pairs += cancelled
@@ -398,7 +387,7 @@ class KPIndexMaintainer:
                 1, cancelled, self.stats.arrays_updated - before_updated
             )
         with maybe_span(metric.MAINT_SPAN_BATCH):
-            windowed, full = self._apply_batch_impl(ops, engine, workers)
+            windowed, full = self._apply_batch_impl(ops, workers)
         verify_batch_state(
             self, tuple({w for _, u, v in ops for w in (u, v)})
         )
@@ -413,7 +402,6 @@ class KPIndexMaintainer:
     def _apply_batch_impl(
         self,
         ops: Sequence[tuple[str, Vertex, Vertex]],
-        engine: str,
         workers: int,
     ) -> tuple[int, int]:
         """Apply coalesced ``ops``; returns (windowed, full) re-peel counts."""
@@ -494,9 +482,9 @@ class KPIndexMaintainer:
                 self._record_window(obs, p_minus, p_plus)
             windowed_plans.append((array, p_minus, p_plus))
         for array, p_minus, p_plus in windowed_plans:
-            self._repeel_and_splice(array, None, p_minus, p_plus, set())
+            self._repeel_and_splice(array, None, p_minus, p_plus)
         if full_ks:
-            self._repeel_full_arrays(full_ks, engine, workers)
+            self._repeel_full_arrays(full_ks, workers)
         if obs is not None:
             obs.add(metric.MAINT_BATCH_FULL_REPEELS, len(full_ks))
             obs.add(
@@ -557,16 +545,14 @@ class KPIndexMaintainer:
             return None
         return p_minus, p_plus
 
-    def _repeel_full_arrays(
-        self, ks: Sequence[int], engine: str, workers: int
-    ) -> None:
-        """Re-peel each ``A_k`` in ``ks`` from scratch with a peel engine.
+    def _repeel_full_arrays(self, ks: Sequence[int], workers: int) -> None:
+        """Re-peel each ``A_k`` in ``ks`` from scratch with the peel kernel.
 
         One :class:`CompactAdjacency` snapshot of the live graph is built
         per batch and shared by every array (and, with ``workers > 1``,
         shipped once per worker through the pool initializer), so the
-        per-array marginal cost is the engine peel itself — the same
-        kernels Algorithm 2 runs, scratch reused across the ks.
+        per-array marginal cost is the kernel peel itself — the same
+        kernel Algorithm 2 runs, scratch reused across the ks.
         """
         obs = get_collector()
         snapshot = CompactAdjacency(self.graph)
@@ -578,16 +564,13 @@ class KPIndexMaintainer:
                 snapshot,
                 core,
                 max(ks),
-                engine=engine,
                 workers=workers,
                 ks=ks,
             )
         else:
-            engine_fn = get_engine(engine)
-            scratch = make_scratch(engine, snapshot, core)
-            peeled = {
-                k: engine_fn(snapshot, core, k, scratch=scratch) for k in ks
-            }
+            peel = ENGINES["flat"]
+            scratch = make_scratch(snapshot, core)
+            peeled = {k: peel(snapshot, core, k, scratch=scratch) for k in ks}
         labels = snapshot.labels
         arrays = self.index.arrays()
         for k in ks:
@@ -683,9 +666,7 @@ class KPIndexMaintainer:
                 # their membership and are merely re-peeled.
                 joining = promoted if k == k_changed else set()
                 members = self._current_members(array, k, joining, set())
-                self._repeel_and_splice(
-                    array, members, 0.0, 1.0, new_members=set(members)
-                )
+                self._repeel_and_splice(array, members, 0.0, 1.0)
                 continue
             if k == k_changed:
                 # Minor case: `promoted` just joined this k-core.  Levels
@@ -704,9 +685,7 @@ class KPIndexMaintainer:
                 if obs is not None:
                     obs.inc(metric.MAINT_MINOR_CASES)
                     self._record_window(obs, 0.0, p_plus)
-                self._repeel_and_splice(
-                    array, members, 0.0, p_plus, new_members=set(promoted)
-                )
+                self._repeel_and_splice(array, members, 0.0, p_plus)
             elif k <= low:
                 # Case 1.1: both endpoints are in the (unchanged) k-core;
                 # membership tests run against the array's own p-number
@@ -724,7 +703,7 @@ class KPIndexMaintainer:
                     obs.inc(metric.MAINT_THM3_WINDOWS)
                     obs.inc(metric.MAINT_THM4_WINDOWS)
                     self._record_window(obs, p_minus, p_plus)
-                self._repeel_and_splice(array, None, p_minus, p_plus, set())
+                self._repeel_and_splice(array, None, p_minus, p_plus)
             else:
                 # Case 1.2: cn(small) < k <= cn(large); only `large` is in
                 # the k-core and its p-number can only decrease.
@@ -739,7 +718,7 @@ class KPIndexMaintainer:
                 if obs is not None:
                     obs.inc(metric.MAINT_THM5_WINDOWS)
                     self._record_window(obs, p_star, p1)
-                self._repeel_and_splice(array, None, p_star, p1, set())
+                self._repeel_and_splice(array, None, p_star, p1)
 
     # ------------------------------------------------------------------
     # edge deletion — Algorithm 5 (kpIndexDelete)
@@ -787,9 +766,7 @@ class KPIndexMaintainer:
                 # their membership and are merely re-peeled.
                 leaving = demoted if k == k_changed else set()
                 members = self._current_members(array, k, set(), leaving)
-                self._repeel_and_splice(
-                    array, members, 0.0, 1.0, new_members=set(members)
-                )
+                self._repeel_and_splice(array, members, 0.0, 1.0)
                 continue
             if k == k_changed:
                 # Minor case: `demoted` just left this k-core.  Unlike the
@@ -809,9 +786,7 @@ class KPIndexMaintainer:
                 if obs is not None:
                     obs.inc(metric.MAINT_MINOR_CASES)
                     self._record_window(obs, 0.0, max(candidates))
-                self._repeel_and_splice(
-                    array, members, 0.0, max(candidates), set()
-                )
+                self._repeel_and_splice(array, members, 0.0, max(candidates))
             elif k <= low:
                 # Major case, both endpoints in the k-core (Thm. 8 / Def. 7
                 # for p_-, via the sound pair bound; Thm. 9 for p_+).
@@ -830,7 +805,7 @@ class KPIndexMaintainer:
                     obs.inc(metric.MAINT_THM8_WINDOWS)
                     obs.inc(metric.MAINT_THM9_WINDOWS)
                     self._record_window(obs, p_minus, p_plus)
-                self._repeel_and_splice(array, None, p_minus, p_plus, set())
+                self._repeel_and_splice(array, None, p_minus, p_plus)
             else:
                 # Major case, cn(small) < k <= cn(large): only `large` in
                 # the k-core; its p-number can only rise.
@@ -843,7 +818,7 @@ class KPIndexMaintainer:
                     obs.inc(metric.MAINT_THM8_WINDOWS)
                     obs.inc(metric.MAINT_THM9_WINDOWS)
                     self._record_window(obs, p_minus, p_plus)
-                self._repeel_and_splice(array, None, p_minus, p_plus, set())
+                self._repeel_and_splice(array, None, p_minus, p_plus)
 
     # ------------------------------------------------------------------
     # A_1 bookkeeping: every 1-core vertex has p-number exactly 1.0
@@ -917,57 +892,71 @@ class KPIndexMaintainer:
         members.difference_update(demoted)
         return members
 
+    @staticmethod
+    def _residual(
+        array: KArray, members: set[Vertex] | None, p_minus: float
+    ) -> tuple[list[Vertex], int]:
+        """The window residual and how many of it have an old p-number.
+
+        The array's ``pn >= p_minus`` suffix (restricted to ``members``
+        when given) in old array order, followed by the members the
+        array lacks — the new k-core members.
+        """
+        old = array.vertices[bisect_left(array.p_numbers, p_minus) :]
+        if members is None:
+            return old, len(old)
+        old = [w for w in old if w in members]
+        new = [w for w in members if not array.contains(w)]
+        return old + new, len(old)
+
     def _repeel_and_splice(
         self,
         array: KArray,
         members: set[Vertex] | None,
         p_minus: float,
         p_plus: float,
-        new_members: set[Vertex],
     ) -> None:
         """Recompute p-numbers in ``[p_minus, p_plus]`` and splice ``A_k``.
 
         ``members=None`` means the k-core membership is unchanged (the
         major cases): the residual is then the array's own ``pn >= p_-``
         suffix, found by bisection, so per-array work is proportional to
-        the window instead of |V_k|.
+        the window instead of |V_k|.  Otherwise ``members`` is the current
+        k-core, and its vertices missing from the array are new members
+        that must be peeled before the Theorem 4/9 early stop may fire.
         """
         k = array.k
         # Bump before touching the array: even an exceptional exit below
         # may leave A_k mutated, and a conservative bump only costs cache
         # entries — it can never let a stale answer survive.
         self.index.bump_version(k)
-        if members is None:
-            start = bisect_left(array.p_numbers, p_minus)
-            tail_source = array.vertices[start:]
-            residual = set(tail_source)
-            residual |= new_members
-        else:
-            tail_source = array.vertices
-            residual = {
-                w
-                for w in members
-                if w in new_members or array.p_number_or(w, -1.0) >= p_minus
-            }
-        result = self._peel_residual(
-            k, residual, p_plus, new_members, array, tail_source
+        residual, first_new = self._residual(array, members, p_minus)
+        order, p_numbers, tail, stopped = peel_residual(
+            self.graph, residual, first_new, k, p_plus
         )
+        if stopped and self.strict:
+            bad = [x for x in tail if array.p_number(x) <= p_plus]
+            if bad:
+                raise IndexStateError(
+                    f"A_{k}: early-stop tail contains p-numbers "
+                    f"<= p_+ ({bad[:3]}...)"
+                )
         self.stats.arrays_updated += 1
-        self.stats.vertices_repeeled += len(result.order)
-        if result.stopped_early:
+        self.stats.vertices_repeeled += len(order)
+        if stopped:
             self.stats.early_stops += 1
         obs = get_collector()
         if obs is not None:
             obs.inc(metric.MAINT_ARRAYS_REPEELED)
-            obs.add(metric.MAINT_VERTICES_REPEELED, len(result.order))
-            if result.stopped_early:
+            obs.add(metric.MAINT_VERTICES_REPEELED, len(order))
+            if stopped:
                 obs.inc(metric.MAINT_EARLY_STOPS)
         try:
             array.replace_segment(
                 keep_below=p_minus,
-                segment_vertices=result.order,
-                segment_p_numbers=result.p_numbers,
-                tail_from=result.tail,
+                segment_vertices=order,
+                segment_p_numbers=p_numbers,
+                tail_from=tail,
             )
         except IndexStateError:
             if self.strict:
@@ -977,113 +966,13 @@ class KPIndexMaintainer:
             self.stats.fallback_rebuilds += 1
             if obs is not None:
                 obs.inc(metric.MAINT_FALLBACK_REBUILDS)
-            full_members = (
-                array.vertex_set() if members is None else set(members)
+            full = (
+                list(dict.fromkeys(array.vertices))
+                if members is None
+                else list(members)
             )
-            full = self._peel_residual(
-                k, full_members, 2.0, full_members, array
-            )
-            array.vertices = full.order
-            array.p_numbers = full.p_numbers
+            # first_new=0 marks every vertex new: no early stop.
+            order, p_numbers, _, _ = peel_residual(self.graph, full, 0, k, 1.0)
+            array.vertices = order
+            array.p_numbers = p_numbers
             array._rebuild_levels()
-
-    def _peel_residual(
-        self,
-        k: int,
-        residual: set[Vertex],
-        p_plus: float,
-        new_members: set[Vertex],
-        array: KArray,
-        tail_source: list[Vertex] | None = None,
-    ) -> _PeelResult:
-        """Fixed-k peel of the residual subgraph on the live graph.
-
-        Mirrors the heap peel of :mod:`repro.core.decomposition` but runs
-        over dict adjacency (the graph is dynamic here) and supports the
-        early stop: once the next peel level would exceed ``p_plus`` and no
-        vertex lacking an old p-number remains, the survivors keep their
-        old p-numbers and are returned as the tail, in old array order.
-        """
-        graph = self.graph
-        result = _PeelResult()
-        if not residual:
-            return result
-        alive = set(residual)
-        deg_r: dict[Vertex, int] = {}
-        key: dict[Vertex, float] = {}
-        # Heap entries carry a serial number so ties never compare the
-        # vertex labels themselves (labels of mixed types are allowed).
-        serial = 0
-        heap: list[tuple[float, int, Vertex]] = []
-        violators: deque[Vertex] = deque()
-        # Canonical float-fraction construction (pvalue.fraction_value)
-        # inlined in this hot residual peel; degrees are >= k >= 1 here.
-        for w in residual:
-            inside = sum(1 for x in graph.neighbors(w) if x in residual)
-            deg_r[w] = inside
-            key[w] = inside / graph.degree(w)  # noqa: KP001 hot loop
-            heap.append((key[w], serial, w))
-            serial += 1
-            if inside < k:
-                violators.append(w)
-        heapify(heap)
-        # Vertices violating the degree constraint at the window boundary
-        # are peeled in the first round; Algorithm 2 assigns them that
-        # round's p_min, which is the minimum fraction over the whole
-        # residual (their own fractions included).
-        level = min(key.values()) if violators else 0.0
-        pending_new = sum(1 for w in alive if w in new_members)
-
-        def remove(w: Vertex, pn: float) -> None:
-            nonlocal pending_new, serial
-            alive.discard(w)
-            if w in new_members:
-                pending_new -= 1
-            result.order.append(w)
-            result.p_numbers.append(pn)
-            for x in graph.neighbors(w):
-                if x not in alive:
-                    continue
-                deg_r[x] -= 1
-                new_key = deg_r[x] / graph.degree(x)  # noqa: KP001 hot loop
-                key[x] = new_key
-                heappush(heap, (new_key, serial, x))
-                serial += 1
-                if deg_r[x] == k - 1:
-                    violators.append(x)
-
-        while alive:
-            if violators:
-                w = violators.popleft()
-                if w in alive:
-                    remove(w, level)
-                continue
-            w = None
-            while heap:
-                f, _, candidate = heappop(heap)
-                # Exact-double stale-entry test; see repro.core.pvalue.
-                if candidate in alive and key[candidate] == f:  # noqa: KP002
-                    w = candidate
-                    break
-            if w is None:
-                raise IndexStateError(
-                    f"A_{k}: peel heap exhausted with {len(alive)} vertices alive"
-                )
-            if f > p_plus and pending_new == 0:
-                # Theorems 4/9: survivors keep their old p-numbers.
-                result.stopped_early = True
-                source = array.vertices if tail_source is None else tail_source
-                result.tail = [x for x in source if x in alive]
-                if self.strict:
-                    bad = [
-                        x for x in result.tail if array.p_number(x) <= p_plus
-                    ]
-                    if bad:
-                        raise IndexStateError(
-                            f"A_{k}: early-stop tail contains p-numbers "
-                            f"<= p_+ ({bad[:3]}...)"
-                        )
-                return result
-            level = max(level, f)
-            remove(w, level)
-        return result

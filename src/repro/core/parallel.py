@@ -18,7 +18,7 @@ and writes only its own ``(order, p_numbers)`` pair.  This module fans the
   arrays travels in batches, so neither stragglers (static
   pre-assignment) nor per-task dispatch overhead (``chunksize=1`` over
   hundreds of sub-millisecond peels) dominate the makespan;
-* each worker builds its engine scratch
+* each worker builds the kernel's scratch
   (:func:`repro.core.peel_engines.make_scratch`) lazily on its first
   chunk and reuses it for every subsequent one — chunks reach a worker
   in ascending-``k`` order, so the scratch's incremental prefix-length
@@ -68,10 +68,9 @@ _CHUNKS_PER_WORKER = 4
 #: multiprocessing start method, including ``spawn``.
 _snapshot: CompactAdjacency | None = None
 _core: list[int] | None = None
-_engine_name: str = ""
 #: The parent's span context when it is collecting, else ``None``.
 _obs_context: Frame | None = None
-#: Engine scratch, built lazily on the worker's first chunk and shared by
+#: Kernel scratch, built lazily on the worker's first chunk and shared by
 #: all of its chunks (the whole point of a per-worker cache).
 _scratch: Any | None = None
 _scratch_ready = False
@@ -129,27 +128,25 @@ def _chunk_ks(
 def _init_worker(
     snapshot: CompactAdjacency,
     core: list[int],
-    engine: str,
     obs_context: Frame | None,
 ) -> None:
     """Pool initializer: pin the shared read-only inputs in this process."""
-    global _snapshot, _core, _engine_name, _obs_context, _scratch, _scratch_ready
+    global _snapshot, _core, _obs_context, _scratch, _scratch_ready
     _snapshot = snapshot
     _core = core
-    _engine_name = engine
     _obs_context = obs_context
     _scratch = None
     _scratch_ready = False
 
 
 def _worker_scratch() -> Any:
-    """This worker's engine scratch, built on first use."""
+    """This worker's kernel scratch, built on first use."""
     global _scratch, _scratch_ready
     if not _scratch_ready:
         from repro.core.peel_engines import make_scratch
 
         assert _snapshot is not None and _core is not None
-        _scratch = make_scratch(_engine_name, _snapshot, _core)
+        _scratch = make_scratch(_snapshot, _core)
         _scratch_ready = True
     return _scratch
 
@@ -164,10 +161,10 @@ def _peel_chunk(
     is ``None`` unless the parent passed a collection context through
     the initializer.
     """
-    from repro.core.peel_engines import get_engine
+    from repro.core.peel_engines import ENGINES
 
     assert _snapshot is not None and _core is not None
-    engine = get_engine(_engine_name)
+    peel = ENGINES["flat"]
     scratch = _worker_scratch()
     task_obs = (
         None if _obs_context is None else Instrumentation(context=_obs_context)
@@ -175,7 +172,7 @@ def _peel_chunk(
     previous = set_collector(task_obs)
     try:
         peeled = [
-            (k, *engine(_snapshot, _core, k, scratch=scratch)) for k in chunk
+            (k, *peel(_snapshot, _core, k, scratch=scratch)) for k in chunk
         ]
     finally:
         set_collector(previous)
@@ -187,7 +184,6 @@ def peel_all_k(
     core: Sequence[int],
     degeneracy: int,
     *,
-    engine: str,
     workers: int,
     ks: Sequence[int] | None = None,
 ) -> dict[int, tuple[list[int], list[float]]]:
@@ -197,8 +193,8 @@ def peel_all_k(
     phase); pass ``ks`` to repair an arbitrary subset — the batched
     maintenance path (:meth:`KPIndexMaintainer.apply_batch`) fans its
     membership-churned arrays through here.  Returns
-    ``{k: (order, p_numbers)}`` — byte-identical to running the selected
-    engine serially for each ``k``.  ``workers`` is clamped to the number
+    ``{k: (order, p_numbers)}`` — byte-identical to running the kernel
+    serially for each ``k``.  ``workers`` is clamped to the number
     of tasks; callers guarantee ``workers >= 1`` and that the snapshot's
     neighbour lists are already rank-sorted.
     """
@@ -223,7 +219,6 @@ def peel_all_k(
         initargs=(
             snapshot,
             list(core),
-            engine,
             obs.context() if obs is not None else None,
         ),
     ) as pool:
@@ -235,7 +230,7 @@ def peel_all_k(
             tasks_per_pid[pid] = tasks_per_pid.get(pid, 0) + len(peeled)
             if obs is not None and obs_payload is not None:
                 # Fold the worker's per-chunk collection in verbatim: the
-                # engines record the same metrics and events they do
+                # kernel records the same metrics and events they do
                 # serially, so parallel profiles match serial ones.
                 obs.merge(obs_payload)
     if obs is not None:

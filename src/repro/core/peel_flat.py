@@ -1,12 +1,17 @@
-"""Flat integer-array peeling engine for Algorithm 2's fixed-k loop.
+"""The peel kernel: Algorithm 2's fixed-k loop and the Algorithms 4/5 re-peel.
 
-The bucket engine (:func:`repro.core.peel_engines.peel_fixed_k_bucket`)
-is already O(m_k) per ``k``, but it pays Python-object tax everywhere: a
-float division per re-key, a ``dict`` level index probed per move, and —
-dominating the profile — a per-``k`` ``level_set`` construction that
-re-enumerates every candidate fraction ``a / deg_G(v)`` with
-``k <= a <= deg_k(v)`` for every ``k`` (O(sum_k m_k) float ops across a
-full decomposition).  This module removes all of it:
+Both are one computation — peel a vertex set in rounds by the fraction
+``deg(v, C) / deg(v, G)``, the round level at deletion being the
+vertex's p-number — so both run on one drain:
+
+* :func:`peel_fixed_k_flat` peels a whole k-core of a frozen
+  :class:`~repro.graph.compact.CompactAdjacency` snapshot (full
+  decomposition, the parallel workers, batched full-array re-peels);
+* :func:`peel_residual` peels the window residual of one ``A_k`` on the
+  live :class:`~repro.graph.adjacency.Graph` (the maintenance splice),
+  with the Theorem 4/9 early stop.
+
+The drain's ingredients:
 
 * **Composite integer keys.**  Each fraction ``a / b`` (``b = deg_G(v)``)
   is encoded as the integer ``a * SCALE // b`` with
@@ -18,84 +23,71 @@ full decomposition).  This module removes all of it:
   :mod:`repro.core.pvalue` makes for correctly-rounded doubles, with the
   double spacing replaced by the scaled integer gap.  (See
   :func:`composite_key` / :func:`key_scale`; the soundness test sweeps
-  every ``a/b`` pair against :class:`fractions.Fraction` ordering.)
-* **One global ladder, built once.**  The union over all ``k`` of the
-  candidate fractions of vertex ``v`` is just ``{a / deg_G(v) : 1 <= a <=
-  deg_G(v)}`` — ``2m`` candidates in total, independent of ``k``.  The
-  :class:`FlatScratch` built once per decomposition stores, for every
-  ladder slot, the *rank* of its key among the sorted distinct keys
-  (``vli``), plus one exact float per distinct key (``lvl_val``, the same
-  correctly-rounded double the other engines emit).  A re-key during any
-  fixed-``k`` peel is then two list reads: ``rank = vli[lp[u] + d]``.
+  every ``a/b`` pair against :class:`fractions.Fraction` ordering.)  The
+  residual peel keeps the *global* degree as every denominator, so its
+  keys obey the same bound with ``d_max`` taken over the residual.
+* **A rank ladder.**  Every candidate fraction ``a / b`` gets a ladder
+  slot holding the *rank* of its key among the sorted distinct keys
+  (``vli``), plus one exact float per distinct key (``lvl_val``, the
+  correctly-rounded double ``a / b`` every p-number is stored as).
+  Vertices of equal degree ``b`` share one block of slots, so a re-key
+  is two list reads: ``rank = vli[lp[u] + d]``.  The full decomposition
+  builds one global ladder (``1 <= a <= b`` per distinct degree — at
+  most ``2m`` slots, independent of ``k``) in its :class:`FlatScratch`;
+  the residual peel builds a local one over ``min(k, d_r(v)) <= a <=
+  d_r(v)``, which includes ``a = 0`` for a vertex with no residual
+  neighbour.
 * **Bin-sorted drain, no dict, no floats.**  Vertices are parked in
   per-rank chains threaded through one preallocated two-array arena
   (``arena_vertex`` / ``arena_next``), the flat-array generalization of
   Batagelj–Zaveršnik's ``vert``/``pos``/``bin_start`` layout: BZ's O(1)
   swap trick assumes keys step down one bin at a time (true for core
   numbers), while a fixed-``k`` re-key can drop a vertex several bins at
-  once, so the engine re-parks moved vertices and filters stale chain
+  once, so the drain re-parks moved vertices and filters stale chain
   entries by comparing the parked rank against the vertex's current one
   (``rank_of``).  Re-parks are **batched per round**: a cascade often
   decrements the same vertex once per dying neighbour, but only its rank
   at the end of the round matters to the (monotone) cursor, so the drain
   stamps touched vertices into a dirty list and parks each exactly once
-  when the round closes — intermediate bins would only add stale entries
-  for the seed walk to filter (on the benchmark graph this cuts arena
-  traffic to under a third).  Chain heads are epoch-stamped so nothing
-  is cleared between ``k``'s.  Keys only ever decrease, hence a vertex
-  is parked at most once per rank and a stale entry can never be
-  mistaken for a live one.
+  when the round closes.  Chain heads are epoch-stamped so nothing is
+  cleared between ``k``'s.  Keys only ever decrease, hence a vertex is
+  parked at most once per rank and a stale entry can never be mistaken
+  for a live one.
 
 The hot arrays are plain Python ``list``s rather than ``array('l')``:
 ``array`` subscripting boxes a fresh ``int`` per read in CPython, while
 lists hand back the cached small-int objects — measurably faster in the
-interpreter loop that dominates here.  The memory layout is still flat
-and integer-only; nothing in the drain hashes or allocates per edge.
+interpreter loop that dominates here.
 
-``engine="flat-numpy"`` (:func:`peel_fixed_k_flat_numpy`) vectorizes the
-scratch build — the initial degree/key computation for every ladder
-slot, binned into ranks by one ``numpy.unique`` — and the per-``k``
-member scan; the cascade drain is shared with the pure engine.  (The
-per-``k`` prefix degrees deliberately stay on the shared incremental
-sweep, and initial ranks on the park loop's inline ladder reads: both
-vectorized alternatives measured slower, see ``_setup_numpy``.)  numpy
-stays an optional dependency: the import is guarded and the engine
-silently degrades to the pure-Python scratch when it is absent,
-producing identical output.
+Every peel emits the **canonical deletion order**: rounds in strictly
+increasing level order, vertices within a round sorted by internal id
+(for the residual peel: old array order, new members after it).  The
+within-round order of Algorithm 2 is unspecified — every vertex of a
+round shares one p-number — so canonicalizing it makes the output
+machine-independent.  :mod:`repro.core.naive` is the reference the
+kernel is tested against.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
+from itertools import repeat
 from typing import Any, Sequence
 
 from repro.errors import ParameterError
+from repro.graph.adjacency import Graph, Vertex
 from repro.graph.compact import CompactAdjacency
 from repro.obs import names
-from repro.obs.instrumentation import get_collector
-
-try:  # optional acceleration; the pure-Python path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    _np = None  # type: ignore[assignment]
+from repro.obs.instrumentation import Instrumentation, get_collector
 
 __all__ = [
     "FlatScratch",
     "composite_key",
-    "have_numpy",
     "key_scale",
     "peel_fixed_k_flat",
-    "peel_fixed_k_flat_numpy",
+    "peel_residual",
 ]
-
-#: Largest ``d_max`` for which ``a * SCALE`` fits an int64 (``d_max**3``
-#: headroom); beyond it the numpy key build falls back to Python ints.
-_NUMPY_KEY_DMAX_LIMIT = 2_000_000
-
-
-def have_numpy() -> bool:
-    """Whether the optional numpy backend is importable in this process."""
-    return _np is not None
 
 
 def key_scale(d_max: int) -> int:
@@ -123,38 +115,51 @@ def composite_key(numerator: int, denominator: int, scale: int) -> int:
     return numerator * scale // denominator
 
 
-class FlatScratch:
-    """Once-per-decomposition state shared by every fixed-``k`` flat peel.
+def _rank_ladder(
+    spans: dict[int, tuple[int, int]], gdeg: Sequence[int], scale: int
+) -> tuple[list[int], list[int], list[float]]:
+    """``(lp, vli, lvl_val)`` for the vertices of global degrees ``gdeg``.
 
-    Building the scratch costs O(m + L log L) (``L`` = distinct fraction
-    levels, ``L <= 2m``); every per-``k`` structure it hands out is either
-    reused storage (epoch-stamped chain heads, the parking arena) or an
-    O(n) copy.  The prefix-length array ``plen`` (``plen[v]`` = number of
-    neighbours of ``v`` with core number ``>= k``) is maintained
-    incrementally as ``k`` advances — the driver peels ``k`` in ascending
-    order, so each edge is touched once across the whole decomposition —
-    and rebuilt by binary search if a caller jumps backwards.
+    ``spans`` maps every denominator ``b`` to the numerator range
+    ``lo <= a <= hi`` its vertices need; vertices of equal degree share
+    one block of slots.  The rank of vertex ``v``'s fraction
+    ``a / gdeg[v]`` is ``vli[lp[v] + a]``.
     """
+    keys: list[int] = []
+    dens: list[int] = []
+    start: dict[int, int] = {}
+    for b, (lo, hi) in spans.items():
+        start[b] = len(keys) - lo
+        keys.extend([a * scale // b for a in range(lo, hi + 1)])
+        dens.extend(repeat(b, hi - lo + 1))
+    den_of = dict(zip(keys, dens))
+    distinct = sorted(den_of)
+    rank = dict(zip(distinct, range(len(distinct))))
+    # One correctly-rounded double per distinct key, the exact value the
+    # p-numbers are stored as.  ``key = a * scale // b`` with ``b < scale``
+    # leaves exactly one integer in [key*b/scale, key*b/scale + b/scale),
+    # so the numerator comes back as ``ceil(key * b / scale)``.
+    lvl_val = [
+        -(-key * b // scale) / b  # noqa: KP001 canonical a / b double
+        for key, b in zip(distinct, map(den_of.__getitem__, distinct))
+    ]
+    return (
+        list(map(start.__getitem__, gdeg)),
+        list(map(rank.__getitem__, keys)),
+        lvl_val,
+    )
+
+
+class _DrainState:
+    """A CSR, its rank ladder and the reusable drain buffers."""
 
     __slots__ = (
-        "snapshot",
-        "core",
-        "n",
         "iptr",
         "ind",
-        "gdeg",
-        "dmax",
-        "scale",
-        "base",
         "lp",
         "vli",
         "lvl_val",
         "num_levels",
-        "corder",
-        "sizes",
-        "core_bucket",
-        "plen",
-        "cur_k",
         "rank_of",
         "bin_head",
         "bin_epoch",
@@ -163,38 +168,74 @@ class FlatScratch:
         "epoch",
         "touch_stamp",
         "stamp",
-        "core_np",
     )
 
     def __init__(
         self,
-        snapshot: CompactAdjacency,
-        core: Sequence[int],
-        *,
-        use_numpy: bool = False,
+        iptr: list[int],
+        ind: list[int],
+        ladder: tuple[list[int], list[int], list[float]],
     ) -> None:
+        n = len(iptr) - 1
+        self.iptr = iptr
+        self.ind = ind
+        self.lp, self.vli, self.lvl_val = ladder
+        self.num_levels = length = len(self.lvl_val)
+        # rank_of is self-cleaning (stale chain entries are filtered
+        # against it); chain heads are epoch-stamped.  Liveness needs no
+        # array of its own: the drain's working degrees are clamped to
+        # k-1 on kill, so "deg_s[u] > k-1" doubles as the alive test.
+        self.rank_of = [0] * n
+        self.bin_head = [-1] * length
+        self.bin_epoch = [0] * length
+        capacity = len(ind) + n + 1  # initial parks + one park per re-key
+        self.arena_vertex = [0] * capacity
+        self.arena_next = [0] * capacity
+        self.epoch = 0
+        # Per-round dirty-list dedup: ``touch_stamp[v]`` holds the stamp
+        # of the last round that decremented ``v``; ``stamp`` increases
+        # monotonically across every round of every peel, so stale stamps
+        # never collide and nothing is ever cleared.
+        self.touch_stamp = [0] * n
+        self.stamp = 0
+
+
+class FlatScratch(_DrainState):
+    """Once-per-decomposition state shared by every fixed-``k`` peel.
+
+    Building the scratch costs O(m + L log L) (``L`` = distinct fraction
+    levels, ``L <= 2m``); every per-``k`` structure it hands out is either
+    reused storage (epoch-stamped chain heads, the parking arena) or an
+    O(n) copy.  The prefix-length array ``plen`` (``plen[v]`` = number of
+    neighbours of ``v`` with core number ``>= k``) is maintained
+    incrementally as ``k`` advances — the decomposition peels ``k`` in
+    ascending order, so each edge is touched once across the whole
+    decomposition — and rebuilt by binary search if a caller jumps
+    backwards.
+    """
+
+    __slots__ = (
+        "snapshot",
+        "core",
+        "corder",
+        "sizes",
+        "core_bucket",
+        "plen",
+        "cur_k",
+    )
+
+    def __init__(self, snapshot: CompactAdjacency, core: Sequence[int]) -> None:
         self.snapshot = snapshot
         self.core = core
         n = snapshot.num_vertices
-        self.n = n
         iptr = list(snapshot.indptr)
-        self.iptr = iptr
-        self.ind = list(snapshot.indices)
         gdeg = [iptr[v + 1] - iptr[v] for v in range(n)]
-        self.gdeg = gdeg
-        dmax = max(gdeg, default=0)
-        self.dmax = dmax
-        self.scale = key_scale(dmax)
-        base = [0] * (n + 1)
-        for v in range(n):
-            base[v + 1] = base[v] + gdeg[v]
-        self.base = base
-        self.lp = [base[v] - 1 for v in range(n)]
-        if use_numpy and _np is not None and dmax <= _NUMPY_KEY_DMAX_LIMIT:
-            self._build_ladder_numpy()
-        else:
-            self._build_ladder_pure()
-            self.core_np = None
+        scale = key_scale(max(gdeg, default=0))
+        super().__init__(
+            iptr,
+            list(snapshot.indices),
+            _rank_ladder({b: (1, b) for b in set(gdeg)}, gdeg, scale),
+        )
         degeneracy = max(core, default=0)
         counts = [0] * (degeneracy + 2)
         for c in core:
@@ -212,79 +253,8 @@ class FlatScratch:
         self.core_bucket = core_bucket
         # plen at k=1 is the plain degree: a vertex has core number 0
         # exactly when it is isolated, so every neighbour has core >= 1.
-        self.plen = gdeg[:]
+        self.plen = gdeg
         self.cur_k = 1
-        # Reused per-k drain state; rank_of is self-cleaning (stale chain
-        # entries are filtered against it), chain heads are epoch-stamped.
-        # Liveness needs no array of its own: the drain's working degrees
-        # are clamped to k-1 on kill, so "deg_s[u] > k-1" doubles as the
-        # alive test — one list read instead of two per edge event.
-        self.rank_of = [0] * n
-        length = self.num_levels
-        self.bin_head = [-1] * length
-        self.bin_epoch = [0] * length
-        capacity = base[n] + n + 1  # initial parks + one park per re-key
-        self.arena_vertex = [0] * capacity
-        self.arena_next = [0] * capacity
-        self.epoch = 0
-        # Per-round dirty-list dedup: ``touch_stamp[v]`` holds the stamp
-        # of the last round that decremented ``v``; ``stamp`` increases
-        # monotonically across every round of every peel, so stale stamps
-        # never collide and nothing is ever cleared.
-        self.touch_stamp = [0] * n
-        self.stamp = 0
-
-    # -- ladder construction ------------------------------------------
-
-    def _build_ladder_pure(self) -> None:
-        """Keys, ranks and exact float values for every ladder slot."""
-        scale = self.scale
-        keys: list[int] = []
-        vals: list[float] = []
-        kext = keys.extend
-        vext = vals.extend
-        for gd in self.gdeg:
-            if gd:
-                kext([a * scale // gd for a in range(1, gd + 1)])
-                # Canonical float-fraction construction (pvalue.fraction_value
-                # inlined for the O(m) setup sweep): one correctly-rounded
-                # double per candidate, the exact value the engines emit.
-                vext([a / gd for a in range(1, gd + 1)])  # noqa: KP001
-        representative = dict(zip(keys, vals))
-        distinct = sorted(representative)
-        self.num_levels = len(distinct)
-        rank = {key: i for i, key in enumerate(distinct)}
-        self.vli = list(map(rank.__getitem__, keys))
-        self.lvl_val = list(map(representative.__getitem__, distinct))
-
-    def _build_ladder_numpy(self) -> None:
-        """Vectorized ladder build plus cached per-edge numpy views."""
-        assert _np is not None
-        np = _np
-        core_np = np.asarray(self.core, dtype=np.int64)
-        iptr_np = np.asarray(self.iptr, dtype=np.int64)
-        gdeg_np = np.diff(iptr_np)
-        base_np = iptr_np[:-1].copy()
-        total = int(iptr_np[-1])
-        # Ladder numerators: slot i of vertex v holds a = i - base[v] + 1.
-        numerators = np.arange(total, dtype=np.int64) - np.repeat(
-            base_np, gdeg_np
-        ) + 1
-        denominators = np.repeat(gdeg_np, gdeg_np)
-        keys = numerators * np.int64(self.scale) // denominators
-        distinct, first_slot, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        self.num_levels = int(distinct.size)
-        # One exact double per distinct key — float64 division is the same
-        # correctly-rounded result CPython's ``a / b`` produces.
-        level_values = (
-            numerators[first_slot].astype(np.float64)
-            / denominators[first_slot].astype(np.float64)
-        )
-        self.vli = inverse.tolist()
-        self.lvl_val = level_values.tolist()
-        self.core_np = core_np
 
     # -- prefix-length maintenance ------------------------------------
 
@@ -326,13 +296,12 @@ def _check_scratch(
     scratch: FlatScratch | None,
     snapshot: CompactAdjacency,
     core: Sequence[int],
-    use_numpy: bool,
 ) -> FlatScratch:
     if scratch is None:
-        return FlatScratch(snapshot, core, use_numpy=use_numpy)
+        return FlatScratch(snapshot, core)
     if not isinstance(scratch, FlatScratch):
         raise ParameterError(
-            f"flat engines expect a FlatScratch, got {type(scratch).__name__}"
+            f"the peel kernel expects a FlatScratch, got {type(scratch).__name__}"
         )
     if scratch.snapshot is not snapshot:
         raise ParameterError(
@@ -349,88 +318,123 @@ def peel_fixed_k_flat(
     *,
     scratch: Any | None = None,
 ) -> tuple[list[int], list[float]]:
-    """Flat integer-array engine; see the module docstring.
+    """Peel the k-core of ``snapshot``: ``(deletion order, p-numbers)``.
 
     ``core`` must be the core numbers of the snapshot and the snapshot's
-    neighbour lists must already be sorted by descending core number.
-    Pass a shared :class:`FlatScratch` (as the decomposition driver does)
-    to amortize the global ladder build across every ``k``.
+    neighbour lists must already be sorted by descending core number
+    (:meth:`~repro.graph.compact.CompactAdjacency.sort_neighbors_by_rank_desc`),
+    so the k-core neighbours of a vertex are a prefix of its slice.  Pass
+    a shared :class:`FlatScratch` (as the decomposition does) to
+    amortize the global ladder build across every ``k``.
     """
     if k < 1:
         raise ParameterError(f"degree threshold k must be >= 1, got {k}")
-    state = _check_scratch(scratch, snapshot, core, use_numpy=False)
-    return _peel(state, k, "flat")
-
-
-def peel_fixed_k_flat_numpy(
-    snapshot: CompactAdjacency,
-    core: Sequence[int],
-    k: int,
-    *,
-    scratch: Any | None = None,
-) -> tuple[list[int], list[float]]:
-    """numpy-accelerated flat engine (identical output, optional numpy).
-
-    Vectorizes the scratch build, member scan and initial binning when
-    numpy is importable; otherwise runs the pure-Python scratch path —
-    the drain and the emitted ``(order, p_numbers)`` are byte-identical
-    either way.
-    """
-    if k < 1:
-        raise ParameterError(f"degree threshold k must be >= 1, got {k}")
-    state = _check_scratch(scratch, snapshot, core, use_numpy=True)
-    return _peel(state, k, "flat-numpy")
-
-
-def _setup_pure(
-    state: FlatScratch, k: int
-) -> tuple[list[int], list[int], list[int]]:
-    """(members, plen, deg_s) via the incremental scratch.
-
-    Initial ranks are left to the park loop (one ladder read per member
-    beats materializing an intermediate list).
-    """
-    members = state.members(k)
-    if not members:
-        return members, [], []
-    plen = state.prefix_lengths(k)
-    return members, plen, plen[:]
-
-
-def _setup_numpy(
-    state: FlatScratch, k: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Vectorized member scan; prefix degrees stay incremental.
-
-    Recomputing prefix degrees per ``k`` with a vectorized ``bincount``
-    costs O(2m) *per k* and loses to the O(changed edges) incremental
-    sweep on every dataset tried, so that path is shared with the pure
-    engine; likewise a vectorized initial-rank gather (one ndarray
-    round-trip per ``k``) measures slower than the park loop's inline
-    ladder reads, so initial ranks are left to it.
-    """
-    assert _np is not None and state.core_np is not None
-    member_ids = _np.flatnonzero(state.core_np >= k)
-    if member_ids.size == 0:
-        return [], [], []
-    plen = state.prefix_lengths(k)
-    return member_ids.tolist(), plen, plen[:]
-
-
-def _peel(
-    state: FlatScratch, k: int, engine_label: str
-) -> tuple[list[int], list[float]]:
-    """Shared drain: rounds walk the rank cursor, cascades re-park."""
+    state = _check_scratch(scratch, snapshot, core)
     # Collector fetched once per call, never inside the peel loop (KP007
     # discipline); all recording happens after the drain.
     obs = get_collector()
     trace_start = time.perf_counter() if obs is not None else 0.0
-    if state.core_np is not None:
-        members, plen, deg_s = _setup_numpy(state, k)
-    else:
-        members, plen, deg_s = _setup_pure(state, k)
+    members = state.members(k)
     if not members:
         return [], []
+    plen = state.prefix_lengths(k)
+    order, p_numbers, _ = _drain(
+        state, k, members, (), plen, plen[:],
+        stop_rank=state.num_levels, first_new=0, pending=0,
+        obs=obs, trace_start=trace_start,
+    )
+    return order, p_numbers
+
+
+def peel_residual(
+    graph: Graph,
+    residual: Sequence[Vertex],
+    first_new: int,
+    k: int,
+    p_plus: float,
+) -> tuple[list[Vertex], list[float], list[Vertex], bool]:
+    """Peel the subgraph of ``graph`` induced by ``residual`` at fixed ``k``.
+
+    ``residual[:first_new]`` are vertices with an old p-number, in old
+    array order; ``residual[first_new:]`` are new k-core members.  Keys
+    use the global degree ``deg_G(v)`` as denominator, so every emitted
+    p-number is the same double a full decomposition stores.  Vertices
+    that start with fewer than ``k`` residual neighbours are peeled in
+    the first round, at the residual's minimum level.  Before every
+    later round the Theorem 4/9 early stop applies: once the round's
+    level exceeds ``p_plus`` and no new member is still alive, the peel
+    stops and the survivors keep their old p-numbers.
+
+    Returns ``(order, p_numbers, tail, stopped_early)``; ``tail`` is the
+    survivors in old array order (empty unless the peel stopped early).
+    """
+    n = len(residual)
+    if not n:
+        return [], [], [], False
+    local = {w: i for i, w in enumerate(residual)}
+    inside = set(local)
+    iptr = [0]
+    ind: list[int] = []
+    gdeg: list[int] = []
+    for w in residual:
+        nbrs = graph.neighbors(w)
+        gdeg.append(len(nbrs))
+        ind.extend(map(local.__getitem__, nbrs & inside))
+        iptr.append(len(ind))
+    deg = [iptr[i + 1] - iptr[i] for i in range(n)]
+    # Degrees below k are only read once, as a seed's starting key.
+    spans: dict[int, tuple[int, int]] = {}
+    for b, d in zip(gdeg, deg):
+        lo = d if d < k else k
+        span = spans.get(b)
+        if span is None:
+            spans[b] = (lo, d)
+        elif lo < span[0] or d > span[1]:
+            spans[b] = (min(lo, span[0]), max(d, span[1]))
+    ladder = _rank_ladder(spans, gdeg, key_scale(max(gdeg)))
+    state = _DrainState(iptr, ind, ladder)
+    members = [i for i in range(n) if deg[i] >= k]
+    seeds = [i for i in range(n) if deg[i] < k]
+    deg_s = deg[:]
+    order, p_numbers, stopped = _drain(
+        state, k, members, seeds, deg, deg_s,
+        stop_rank=bisect_right(state.lvl_val, p_plus),
+        first_new=first_new, pending=n - first_new,
+        obs=None, trace_start=0.0,
+    )
+    km1 = k - 1
+    tail = (
+        [residual[i] for i in range(first_new) if deg_s[i] > km1]
+        if stopped
+        else []
+    )
+    return [residual[i] for i in order], p_numbers, tail, stopped
+
+
+def _drain(
+    state: _DrainState,
+    k: int,
+    members: Sequence[int],
+    seeds: Sequence[int],
+    plen: Sequence[int],
+    deg_s: list[int],
+    *,
+    stop_rank: int,
+    first_new: int,
+    pending: int,
+    obs: Instrumentation | None,
+    trace_start: float,
+) -> tuple[list[int], list[float], bool]:
+    """Rounds walk the rank cursor, cascades re-park; see the module doc.
+
+    ``members`` start with ``deg_s >= k`` and are parked at their rank;
+    ``seeds`` start below ``k`` and die in the first round, whose level
+    is the minimum rank over both.  Vertex ``v``'s live neighbours are
+    ``ind[iptr[v] : iptr[v] + plen[v]]``.  Before each round — except a
+    first round that has seeds — the peel stops when the cursor has
+    reached ``stop_rank`` and none of the ``pending`` vertices with id
+    ``>= first_new`` is alive; the third result says whether it did.
+    """
     # Local bindings for the interpreter loop (every name below is read
     # O(m_k) times).
     iptr, ind = state.iptr, state.ind
@@ -440,9 +444,10 @@ def _peel(
     arena_vertex, arena_next = state.arena_vertex, state.arena_next
     state.epoch += 1
     epoch = state.epoch
-    # Every k-core member starts with deg_s[v] = plen[v] >= k > k-1, so
-    # "deg_s[v] > k-1" is true exactly for the not-yet-killed members: no
-    # separate alive array, and killing is one clamp to k-1.
+    km1 = k - 1
+    # Every member starts with deg_s[v] >= k > k-1, so "deg_s[v] > k-1"
+    # is true exactly for the not-yet-killed vertices: no separate alive
+    # array, and killing is one clamp to k-1.
     tail = 0
     rank_min = state.num_levels
     for v in members:
@@ -457,43 +462,57 @@ def _peel(
         tail += 1
         if r < rank_min:
             rank_min = r
-    members_n = len(members)
+    stack: list[int] = []
+    stack_append = stack.append
+    stack_pop = stack.pop
+    for v in seeds:
+        r = vli[lp[v] + deg_s[v]]
+        if r < rank_min:
+            rank_min = r
+        deg_s[v] = km1
+        stack_append(v)
+    parked = tail
     order: list[int] = []
     p_numbers: list[float] = []
     order_extend = order.extend
     pn_extend = p_numbers.extend
-    remaining = members_n
+    remaining = len(members) + len(seeds)
     cur = rank_min
-    stack: list[int] = []
-    stack_append = stack.append
-    stack_pop = stack.pop
+    stopped = False
     dirty: list[int] = []
     dirty_append = dirty.append
     tstamp = state.touch_stamp
     stamp = state.stamp
-    km1 = k - 1
     # Loop-local accumulators, flushed to the collector after the loop
     # (KP007); everything else per round is index arithmetic.
     rank_skips = 0
     seeds_total = 0
     while remaining:
-        # Advance to the next epoch-stamped rank.  Every surviving vertex
-        # sits in a chain stamped this epoch at its current rank (the
-        # round-end park below guarantees it), so while anything remains
-        # the walk terminates before running off the ladder.
-        start = cur
-        while bin_epoch[cur] != epoch:
-            cur += 1
-        rank_skips += cur - start
-        # Seed a round: consume the chain parked at the cursor rank,
-        # filtering entries whose vertex died or re-parked lower since.
-        node = bin_head[cur]
-        while node >= 0:
-            v = arena_vertex[node]
-            node = arena_next[node]
-            if deg_s[v] > km1 and rank_of[v] == cur:
-                deg_s[v] = km1
-                stack_append(v)
+        if not stack:
+            # Advance to the next epoch-stamped rank.  Every surviving
+            # vertex sits in a chain stamped this epoch at its current
+            # rank (the round-end park below guarantees it), so while
+            # anything remains the walk terminates before running off
+            # the ladder.
+            start = cur
+            while bin_epoch[cur] != epoch:
+                cur += 1
+            rank_skips += cur - start
+            if cur >= stop_rank and not pending:
+                # Theorems 4/9: every later level exceeds p_+, so the
+                # survivors keep their old p-numbers.
+                stopped = True
+                break
+        if bin_epoch[cur] == epoch:
+            # Seed a round: consume the chain parked at the cursor rank,
+            # filtering entries whose vertex died or re-parked lower.
+            node = bin_head[cur]
+            while node >= 0:
+                v = arena_vertex[node]
+                node = arena_next[node]
+                if deg_s[v] > km1 and rank_of[v] == cur:
+                    deg_s[v] = km1
+                    stack_append(v)
         if not stack:
             cur += 1
             rank_skips += 1
@@ -544,26 +563,28 @@ def _peel(
         order_extend(round_buf)
         pn_extend([lvl_val[cur]] * len(round_buf))  # noqa: KP006 per round
         remaining -= len(round_buf)
+        if pending:
+            pending -= len(round_buf) - bisect_left(round_buf, first_new)
         cur += 1
     state.stamp = stamp
     if obs is not None:
         # moves = round-end re-parks (deduped: one per touched vertex per
         # round); rekeys adds the cascade kills, whose thresholds were
         # also recomputed before they dropped out.
-        moves = tail - members_n
+        moves = tail - parked
+        peeled = len(order)
         obs.inc(names.DECOMP_ROUNDS)
-        obs.add(names.DECOMP_PEELS, members_n)
-        obs.add(names.DECOMP_REKEYS, moves + members_n - seeds_total)
+        obs.add(names.DECOMP_PEELS, peeled)
+        obs.add(names.DECOMP_REKEYS, moves + peeled - seeds_total)
         obs.add(names.DECOMP_FLAT_MOVES, moves)
         obs.add(names.DECOMP_FLAT_RANK_SKIPS, rank_skips)
         obs.observe(names.DECOMP_FLAT_LEVELS, state.num_levels)
-        obs.observe(names.DECOMP_ARRAY_SIZE, members_n)
+        obs.observe(names.DECOMP_ARRAY_SIZE, peeled)
         obs.record(
             names.TRACE_PEEL_FIXED_K,
             trace_start,
             time.perf_counter(),
             k=k,
-            engine=engine_label,
-            vertices=members_n,
+            vertices=peeled,
         )
-    return order, p_numbers
+    return order, p_numbers, stopped

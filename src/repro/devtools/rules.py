@@ -25,7 +25,7 @@ import ast
 import re
 from typing import Iterator, Sequence
 
-from repro.devtools.violations import Violation
+from repro.devtools.violations import HOT_LOOP_SUFFIXES, Violation
 
 __all__ = [
     "LintRule",
@@ -42,15 +42,6 @@ __all__ = [
 
 #: The module allowed to do raw fraction arithmetic / float equality.
 _PVALUE_SUFFIXES = ("core/pvalue.py",)
-
-#: Modules whose ``while`` peel loops must not allocate per iteration.
-_HOT_LOOP_SUFFIXES = (
-    "kcore/compute.py",
-    "core/kpcore.py",
-    "core/decomposition.py",
-    "core/peel_engines.py",
-    "core/peel_flat.py",
-)
 
 _DEGREE_NAME = re.compile(r"(?:^|_)deg(?:ree)?s?(?:$|_)|^denominator$|^d[uv]$")
 _P_NAME = re.compile(r"^(?:p|pn|p\d+|p_[a-z0-9_]+|pn_[a-z0-9_]+|frac|fraction|key|level_values)$")
@@ -402,7 +393,7 @@ class DunderAllDriftRule(LintRule):
 class HotLoopAllocationRule(LintRule):
     """KP006 — no per-iteration container construction in the peel loops.
 
-    Inside the ``while`` loops of the three O(m) peeling modules, building
+    Inside the ``while`` loops of the O(m) peeling modules, building
     a ``set``/``dict``/``list`` (display, comprehension, or constructor
     call, plus ``sorted``) per iteration silently turns the linear scan
     into a quadratic one.  Hoist the allocation out of the loop.
@@ -414,7 +405,7 @@ class HotLoopAllocationRule(LintRule):
 
     def check(self, tree, path, source_lines):
         norm = _normalize(path)
-        if not norm.endswith(_HOT_LOOP_SUFFIXES):
+        if not norm.endswith(HOT_LOOP_SUFFIXES):
             return
         seen: set[tuple[int, int]] = set()
         for loop in ast.walk(tree):
@@ -452,7 +443,7 @@ class UnguardedMetricRule(LintRule):
     """KP007 — metric recording in the peel loops must stay off the
     per-iteration path.
 
-    Inside ``while``/``for`` loops of the three O(m) peeling modules:
+    Inside ``while``/``for`` loops of the O(m) peeling modules:
 
     * calls to ``get_collector()`` / ``maybe_span()`` are flagged
       outright — the collector lookup belongs before the loop, the span
@@ -464,10 +455,10 @@ class UnguardedMetricRule(LintRule):
       cost a single boolean test.
 
     The supported pattern is loop-local plain-int accumulators flushed
-    to the collector once, after the loop (see
-    ``core/peel_engines.py::peel_fixed_k_bucket``); trace events follow
-    the same discipline (one guarded ``record`` per call, after the loop
-    — see the ``trace.peel.fixed_k`` hooks there).
+    to the collector once, after the loop (see the flat drain,
+    ``core/peel_flat.py::_drain``); trace events follow the same
+    discipline (one guarded ``record`` per call, after the loop — see
+    the ``trace.peel.fixed_k`` hook there).
     """
 
     code = "KP007"
@@ -480,7 +471,7 @@ class UnguardedMetricRule(LintRule):
 
     def check(self, tree, path, source_lines):
         norm = _normalize(path)
-        if not norm.endswith(_HOT_LOOP_SUFFIXES):
+        if not norm.endswith(HOT_LOOP_SUFFIXES):
             return
         seen: set[tuple[int, int]] = set()
         for loop in ast.walk(tree):

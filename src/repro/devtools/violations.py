@@ -10,10 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Violation", "RULE_CODES", "PARSE_ERROR_CODE"]
+__all__ = ["Violation", "RULE_CODES", "PARSE_ERROR_CODE", "HOT_LOOP_SUFFIXES"]
 
 #: Pseudo-code reported when a file cannot be parsed at all.
 PARSE_ERROR_CODE = "KP000"
+
+#: The peeling modules whose loops KP006/KP007 police.
+HOT_LOOP_SUFFIXES = (
+    "kcore/compute.py",
+    "core/kpcore.py",
+    "core/decomposition.py",
+    "core/peel_flat.py",
+)
 
 #: Stable code -> one-line summary of every rule the linter ships.
 RULE_CODES: dict[str, str] = {
@@ -40,8 +48,7 @@ RULE_CODES: dict[str, str] = {
     ),
     "KP006": (
         "set/dict/list construction inside a peeling hot loop "
-        "(kcore/compute.py, core/kpcore.py, core/decomposition.py, "
-        "core/peel_engines.py)"
+        f"({', '.join(HOT_LOOP_SUFFIXES)})"
     ),
     "KP007": (
         "per-iteration metric or trace recording inside a peeling hot "

@@ -48,10 +48,6 @@ KPCORE_SPAN_PEEL = "peel"
 DECOMP_ROUNDS = "decomp.rounds"
 DECOMP_PEELS = "decomp.peels"
 DECOMP_REKEYS = "decomp.threshold_recomputations"
-DECOMP_DEGREE_VIOLATIONS = "decomp.degree_violation_rekeys"
-DECOMP_BUCKET_SCANS = "decomp.bucket_scans"
-DECOMP_BUCKET_MOVES = "decomp.bucket_moves"
-DECOMP_BUCKET_LEVELS = "decomp.bucket_levels"
 DECOMP_FLAT_MOVES = "decomp.flat.moves"
 DECOMP_FLAT_RANK_SKIPS = "decomp.flat.rank_skips"
 DECOMP_FLAT_LEVELS = "decomp.flat.levels"
@@ -169,14 +165,10 @@ COUNTERS: dict[str, str] = {
     DECOMP_ROUNDS: "fixed-k peels run by Algorithm 2 (one per k)",
     DECOMP_PEELS: "peel operations across all k (O(d*m) claim)",
     DECOMP_REKEYS: "fraction re-keys after a neighbour deletion "
-    "(each leaves one stale heap entry behind)",
-    DECOMP_DEGREE_VIOLATIONS: "re-keys with the degree-violation sentinel",
-    DECOMP_BUCKET_SCANS: "empty level buckets skipped by the bucket engine",
-    DECOMP_BUCKET_MOVES: "vertex moves to a higher level bucket",
+    "(round-end re-parks plus cascade kills)",
     DECOMP_FLAT_MOVES: "vertex re-parks into a lower rank chain "
-    "(flat engines; batched to one park per vertex per round)",
-    DECOMP_FLAT_RANK_SKIPS: "rank-cursor steps over empty/stale chains "
-    "(flat engines)",
+    "(batched to one park per vertex per round)",
+    DECOMP_FLAT_RANK_SKIPS: "rank-cursor steps over empty/stale chains",
     DECOMP_PARALLEL_TASKS: "fixed-k peel tasks dispatched to the pool",
     DECOMP_PARALLEL_CHUNKS: "task chunks pulled from the shared pool queue",
     MAINT_THM2_SKIPS: "A_k skipped: k above both new core numbers (insert)",
@@ -219,7 +211,6 @@ COUNTERS: dict[str, str] = {
 
 HISTOGRAMS: dict[str, str] = {
     DECOMP_ARRAY_SIZE: "per-k array size |V_k| built by Algorithm 2",
-    DECOMP_BUCKET_LEVELS: "candidate fraction levels per fixed-k bucket peel",
     DECOMP_FLAT_LEVELS: "distinct fraction levels in the global flat ladder",
     DECOMP_PARALLEL_WORKERS: "peel tasks completed per pool worker",
     MAINT_WINDOW_WIDTH: "recomputed p-number window widths p_+ - p_-",

@@ -54,7 +54,6 @@ from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.core.index import KPIndex
 from repro.core.maintenance import KPIndexMaintainer, MaintenanceMode
-from repro.core.peel_engines import DEFAULT_ENGINE
 from repro.obs import names as metric
 from repro.obs.instrumentation import get_collector
 from repro.service.journal import (
@@ -343,7 +342,6 @@ class DurableMaintainer:
         self,
         updates: Iterable[UpdateOp],
         *,
-        engine: str = DEFAULT_ENGINE,
         workers: int = 1,
     ) -> ApplyReport:
         """Apply a coalesced batch: one journal record, one fsync, one
@@ -365,9 +363,7 @@ class DurableMaintainer:
         applied = skipped = checkpoints = 0
         try:
             try:
-                report = self.maintainer.apply_batch(
-                    ops, engine=engine, workers=workers
-                )
+                report = self.maintainer.apply_batch(ops, workers=workers)
             except GraphError:
                 self.stats.skipped += len(ops)
                 skipped = len(ops)

@@ -49,14 +49,6 @@ class TestDecompose:
         for line in lines:
             float(line.split("\t")[1])
 
-    def test_engine_flag_matches_default(self, edge_list_file, capsys):
-        assert main(["decompose", edge_list_file, "-k", "2"]) == 0
-        default_out = capsys.readouterr().out
-        assert main(
-            ["decompose", edge_list_file, "-k", "2", "--engine", "heap"]
-        ) == 0
-        assert capsys.readouterr().out == default_out
-
     def test_full_decomposition_summary(self, edge_list_file, capsys):
         assert main(["decompose", edge_list_file]) == 0
         out = capsys.readouterr().out
@@ -395,30 +387,36 @@ class TestBenchDiff:
 
     def test_clean_diff_exits_zero(self, tmp_path, capsys):
         old = self._write(
-            tmp_path / "old.json", [{"engine": "bucket", "min_s": 1.0}]
+            tmp_path / "old.json",
+            [{"dataset": "orkut", "workers": 1, "min_s": 1.0}],
         )
         new = self._write(
-            tmp_path / "new.json", [{"engine": "bucket", "min_s": 1.05}]
+            tmp_path / "new.json",
+            [{"dataset": "orkut", "workers": 1, "min_s": 1.05}],
         )
         assert main(["bench", "diff", old, new]) == 0
         assert "no regressions" in capsys.readouterr().out
 
     def test_regression_exits_nonzero(self, tmp_path, capsys):
         old = self._write(
-            tmp_path / "old.json", [{"engine": "bucket", "min_s": 1.0}]
+            tmp_path / "old.json",
+            [{"dataset": "orkut", "workers": 1, "min_s": 1.0}],
         )
         new = self._write(
-            tmp_path / "new.json", [{"engine": "bucket", "min_s": 2.0}]
+            tmp_path / "new.json",
+            [{"dataset": "orkut", "workers": 1, "min_s": 2.0}],
         )
         assert main(["bench", "diff", old, new]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_tolerance_flag_loosens_the_gate(self, tmp_path, capsys):
         old = self._write(
-            tmp_path / "old.json", [{"engine": "bucket", "min_s": 1.0}]
+            tmp_path / "old.json",
+            [{"dataset": "orkut", "workers": 1, "min_s": 1.0}],
         )
         new = self._write(
-            tmp_path / "new.json", [{"engine": "bucket", "min_s": 2.0}]
+            tmp_path / "new.json",
+            [{"dataset": "orkut", "workers": 1, "min_s": 2.0}],
         )
         assert main(["bench", "diff", old, new, "--tolerance", "2.0"]) == 0
         assert "no regressions" in capsys.readouterr().out

@@ -69,6 +69,19 @@ class TestKArray:
         assert array.vertices == [1, 3, 2, 4, 5]
         assert array.p_numbers == [0.2, 0.45, 0.6, 0.7, 0.9]  # noqa: KP002 exact-double oracle
         assert array.p_number(2) == 0.6  # noqa: KP002 exact-double oracle
+        # keep_below equal to a level shared by several vertices: the
+        # whole run at that level is re-spliced, only 0.2 is kept.
+        tied = KArray(
+            k=2, vertices=[1, 2, 3, 4, 5], p_numbers=[0.2, 0.4, 0.4, 0.4, 0.9]
+        )
+        tied.replace_segment(
+            keep_below=0.4,
+            segment_vertices=[4, 2, 3],
+            segment_p_numbers=[0.4, 0.5, 0.5],
+            tail_from=[5],
+        )
+        assert tied.vertices == [1, 4, 2, 3, 5]
+        assert tied.p_numbers == [0.2, 0.4, 0.5, 0.5, 0.9]  # noqa: KP002 oracle
 
 
 class TestIndexQueries:

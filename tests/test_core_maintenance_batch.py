@@ -1,7 +1,7 @@
 """Differential soak and unit tests for batched maintenance.
 
-The contract under test: for every engine, every maintenance mode, and
-every grouping of a valid update stream into batches,
+The contract under test: for every maintenance mode and every grouping
+of a valid update stream into batches,
 :meth:`KPIndexMaintainer.apply_batch` leaves the index semantically equal
 to (a) applying the same stream edge-by-edge and (b) a from-scratch
 rebuild — while re-peeling each affected ``A_k`` at most once per batch
@@ -33,7 +33,6 @@ from repro.core.maintenance import (
     coalesce_updates,
 )
 
-ALL_ENGINES = ("heap", "bucket", "flat", "flat-numpy")
 BATCH_SIZES = (1, 2, 16)
 
 
@@ -74,16 +73,15 @@ def _apply_batched(maintainer, ops, size, **kwargs):
 
 
 class TestDifferentialSoak:
-    """Batched vs sequential vs from-scratch, across every engine."""
+    """Batched vs sequential vs from-scratch."""
 
-    @pytest.mark.parametrize("engine", ALL_ENGINES)
     @pytest.mark.parametrize("size", BATCH_SIZES)
-    def test_engines_and_batch_sizes_agree(self, engine, size, mode):
+    def test_batch_sizes_agree(self, size, mode):
         g = erdos_renyi_gnm(16, 40, seed=11)
         ops = _random_stream(11, 16, 40, g)
         batched = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
         sequential = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
-        _apply_batched(batched, ops, size, engine=engine)
+        _apply_batched(batched, ops, size)
         for op, u, v in ops:
             if op == "insert":
                 sequential.insert_edge(u, v)
@@ -279,10 +277,8 @@ class TestCoalesce:
         assert maintainer.index.versions() == before_versions
         assert maintainer.stats.batches == 0
 
-    def test_bad_engine_or_workers_rejected_before_mutation(self, triangle):
+    def test_bad_workers_rejected_before_mutation(self, triangle):
         maintainer = KPIndexMaintainer(triangle, strict=True)
-        with pytest.raises(ParameterError):
-            maintainer.apply_batch([("insert", 0, 3)], engine="nope")
         with pytest.raises(ParameterError):
             maintainer.apply_batch([("insert", 0, 3)], workers=0)
         assert not triangle.has_edge(0, 3)

@@ -17,7 +17,7 @@ from repro.core.parallel import (
     k_core_sizes,
     peel_all_k,
 )
-from repro.core.peel_engines import DEFAULT_ENGINE, available_engines, get_engine
+from repro.core.peel_engines import ENGINES
 
 
 def _assert_same_decomposition(a, b):
@@ -102,20 +102,17 @@ class TestPeelAllK:
         core, _ = core_numbers_compact(snapshot)
         snapshot.sort_neighbors_by_rank_desc(core)
         degeneracy = max(core, default=0)
-        peel = get_engine(DEFAULT_ENGINE)
+        peel = ENGINES["flat"]
         serial = {k: peel(snapshot, core, k) for k in range(1, degeneracy + 1)}
-        parallel = peel_all_k(
-            snapshot, core, degeneracy, engine=DEFAULT_ENGINE, workers=3
-        )
+        parallel = peel_all_k(snapshot, core, degeneracy, workers=3)
         assert parallel == serial
 
 
 class TestWorkersParameter:
-    @pytest.mark.parametrize("engine", available_engines())
-    def test_workers_4_identical_to_workers_1(self, engine):
+    def test_workers_4_identical_to_workers_1(self):
         g = erdos_renyi_gnm(70, 320, seed=13)
-        serial = kp_core_decomposition(g, engine=engine, workers=1)
-        parallel = kp_core_decomposition(g, engine=engine, workers=4)
+        serial = kp_core_decomposition(g, workers=1)
+        parallel = kp_core_decomposition(g, workers=4)
         _assert_same_decomposition(serial, parallel)
 
     def test_string_labelled_vertices_survive_the_pool(self):
@@ -142,7 +139,7 @@ class TestWorkersParameter:
 class TestCrossProcessObservability:
     """Worker metrics and trace events must merge back into the parent.
 
-    The decomposition engines record all their own counters, so a
+    The peel kernel records all its own counters, so a
     parallel run's merged counters equal a single-process run exactly —
     the only extra names are the ``decomp.parallel.*`` pool bookkeeping.
     """
@@ -215,7 +212,6 @@ class TestCrossProcessObservability:
         assert len({e.trace_id for e in peels}) == 1
         assert any(e.pid != os.getpid() for e in peels)
         for event in peels:
-            assert event.attrs["engine"] in available_engines()
             assert event.attrs["k"] >= 1
             assert event.dur >= 0.0
 

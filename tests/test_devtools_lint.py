@@ -24,7 +24,12 @@ from repro.devtools.lint import (
     lint_source,
     run,
 )
-from repro.devtools.violations import PARSE_ERROR_CODE, RULE_CODES, Violation
+from repro.devtools.violations import (
+    HOT_LOOP_SUFFIXES,
+    PARSE_ERROR_CODE,
+    RULE_CODES,
+    Violation,
+)
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -195,6 +200,14 @@ class TestKP006:
         src = "while remaining:\n    dirty = []\n"
         assert codes(src, path="src/repro/core/peel_flat.py") == ["KP006"]
 
+    def test_registry_module_is_not_hot(self):
+        src = "while remaining:\n    dirty = []\n"
+        assert codes(src, path="src/repro/core/peel_engines.py") == []
+
+    def test_message_names_every_hot_module(self):
+        for suffix in HOT_LOOP_SUFFIXES:
+            assert suffix in RULE_CODES["KP006"], suffix
+
 
 # ----------------------------------------------------------------------
 # KP007 — per-iteration metric recording in the peeling hot loops
@@ -260,7 +273,7 @@ class TestKP007:
         assert codes(src, path=self.HOT_PATH) == []
 
     def test_post_loop_trace_record_is_clean(self):
-        """The peel-engine shape: hoisted lookup, one record after the loop."""
+        """The peel-kernel shape: hoisted lookup, one record after the loop."""
         src = (
             "obs = get_collector()\n"
             "start = now()\n"

@@ -168,7 +168,7 @@ class TestSwitch:
         assert get_collector() is None
 
     def test_disabled_hot_path_emits_zero_events(self):
-        """With collection off the peel engines must not record anything."""
+        """With collection off the peel kernel must not record anything."""
         from repro.core.decomposition import kp_core_decomposition
         from repro.graph.generators import erdos_renyi_gnm
 
