@@ -2,44 +2,47 @@
 
 :class:`KPIndexMaintainer` owns a graph, a :class:`~repro.kcore.
 maintenance.CoreMaintainer` (incremental core numbers) and a
-:class:`~repro.core.index.KPIndex`, and keeps the index exact under single
-edge updates.  Per update it:
+:class:`~repro.core.index.KPIndex`, and keeps the index exact under edge
+updates.  There is one maintenance path, the batch planner:
+:meth:`~KPIndexMaintainer.insert_edge` / :meth:`~KPIndexMaintainer.
+delete_edge` run it on a batch of one, :meth:`~KPIndexMaintainer.
+apply_batch` on a coalesced burst (insert+delete pairs of one edge
+cancel).  Per batch it:
 
-1. applies the edge to the graph and incrementally repairs core numbers,
-2. skips every ``A_k`` with ``k`` above ``max(cn(u), cn(v))``
+1. applies every net update to the graph and incrementally repairs core
+   numbers,
+2. skips every ``A_k`` with ``k`` above both endpoint core numbers
    (Theorem 2 for insertion, Theorem 7 for deletion),
-3. for each remaining ``k``, derives a p-number window ``[p_-, p_+]`` from
-   the case analysis of Algorithms 4/5 (Theorems 3-5, 8, 9, Defs. 5-7) —
-   vertices with old p-number outside the window are untouched,
-4. re-peels only the induced subgraph on the windowed vertices, stopping as
-   soon as the peel level exceeds ``p_+`` (the survivors keep their old
-   p-numbers), and splices the recomputed segment back into ``A_k``.
+3. for each remaining ``k``, derives one p-number window ``[p_-, p_+]``
+   from the per-op windows of Algorithms 4/5 (Theorems 3-5, 8, 9,
+   Defs. 5-7) — vertices with old p-number outside it are untouched —
+   and skips the array outright when the window is empty (Theorem 6),
+4. re-peels the array once: the ``pn >= p_-`` suffix on the peel kernel,
+   stopping as soon as the level exceeds ``p_+`` (the survivors keep
+   their old p-numbers), spliced back into ``A_k``.
 
-Theorem 6 supplies an extra early-exit: when only the larger-core endpoint
-is in the k-core and a support bound certifies its p-number cannot drop,
-``A_k`` is skipped without any re-peel.
-
-Two modes support the ablation benchmark: ``RANGE`` (the full machinery
-above, the paper's algorithm) and ``FULL_K`` (skip rules only; every
-affected ``A_k`` is re-peeled in full).  Both are property-tested for exact
-agreement with from-scratch decomposition.
-
-:meth:`KPIndexMaintainer.apply_batch` amortizes a *burst* of updates: the
-batch is coalesced (insert+delete pairs of one edge cancel), the per-edge
-windows above are unioned per affected ``A_k``, and each array re-peels
-exactly **once** per batch — membership-stable arrays through the unioned
-``[p_-, p_+]`` window, membership-churned arrays through one shared
+An array whose k-core membership churned re-peels the window ``[0, p_+]``
+over its new members when the batch has one net op; in a larger batch it
+re-peels in full, through one shared
 :class:`~repro.graph.compact.CompactAdjacency` snapshot and the Algorithm 2
-peel kernel (optionally fanned across the ``repro.core.parallel`` worker
-pool).  Version counters consequently bump once per touched array per
-batch, which is what lets the serving cache invalidate once instead of
-once per edge (see docs/algorithms.md, "Batched maintenance").
+kernel (optionally fanned across the ``repro.core.parallel`` worker pool).
+Each touched array bumps its version once per batch, which is what lets
+the serving cache invalidate once instead of once per edge (see
+docs/algorithms.md, "Maintenance").
+
+A window that is too narrow is a bug, not a case: the re-peel raises
+:class:`~repro.errors.IndexStateError` instead of repairing it.
+
+Two modes support the ablation benchmark: ``RANGE`` (the machinery above,
+the paper's algorithm) and ``FULL_K`` (skip rules only; every affected
+``A_k`` is re-peeled in full).  Both are property-tested for exact
+agreement with from-scratch decomposition.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from bisect import bisect_left
 from typing import Callable, Iterable, Sequence
 
@@ -61,12 +64,7 @@ from repro.graph.compact import CompactAdjacency
 from repro.kcore.maintenance import CoreMaintainer
 from repro.obs import names as metric
 from repro.obs.instrumentation import Instrumentation, get_collector, maybe_span
-from repro.core.bounds import (
-    BoundsCache,
-    degree_in,
-    deletion_pair_bound,
-    insertion_support_bound,
-)
+from repro.core.bounds import BoundsCache
 from repro.core.index import KArray, KPIndex
 from repro.core.parallel import peel_all_k
 from repro.core.peel_engines import ENGINES, make_scratch
@@ -103,6 +101,8 @@ class MaintenanceStats:
     arrays_updated: int = 0
     vertices_repeeled: int = 0
     early_stops: int = 0
+    #: Always 0 (a wrong window raises); kept because benchmark readers
+    #: of :meth:`snapshot` still look the key up.
     fallback_rebuilds: int = 0
     batches: int = 0
     batch_cancelled_pairs: int = 0
@@ -115,9 +115,10 @@ class MaintenanceStats:
 class BatchReport:
     """What one :meth:`KPIndexMaintainer.apply_batch` call did.
 
-    ``windowed_repeels``/``full_repeels`` report the batch planner's
-    classification and are both 0 for a coalesced batch of one update,
-    which delegates to the single-edge algorithms verbatim.
+    ``windowed_repeels`` counts arrays re-peeled through a ``[p_-, p_+]``
+    window (for a batch of one net op this includes membership-churned
+    arrays, windowed at ``[0, p_+]``); ``full_repeels`` counts arrays
+    re-peeled in full through the shared snapshot.
     """
 
     applied: int
@@ -125,25 +126,6 @@ class BatchReport:
     arrays_repeeled: int
     windowed_repeels: int = 0
     full_repeels: int = 0
-
-
-@dataclass
-class _KTouch:
-    """Per-``A_k`` accumulator over one coalesced batch."""
-
-    #: Every batch-edge endpoint whose op registered at this k — exactly
-    #: the vertices whose degree may differ between the pre- and
-    #: post-batch graph while sitting in (either version of) the k-core.
-    endpoints: set[Vertex] = field(default_factory=set)
-    #: Net membership churn of the k-core across the batch.
-    joined: set[Vertex] = field(default_factory=set)
-    left: set[Vertex] = field(default_factory=set)
-    #: True as soon as *any* promote/demote event fired at this k, even if
-    #: a later opposite event cancelled it: a mid-batch membership dip
-    #: breaks the endpoint-registration invariant the windowed path relies
-    #: on (an op only registers at k when an endpoint's core number is
-    #: >= k *at that moment*), so such an array re-peels in full.
-    membership_changed: bool = False
 
 
 def coalesce_updates(
@@ -207,13 +189,10 @@ class KPIndexMaintainer:
     ----------
     graph:
         The graph to index; the maintainer takes ownership — mutate it only
-        through :meth:`insert_edge` / :meth:`delete_edge`.
+        through :meth:`insert_edge` / :meth:`delete_edge` /
+        :meth:`apply_batch`.
     mode:
         See :class:`MaintenanceMode`.
-    strict:
-        When true, internal consistency violations raise
-        :class:`~repro.errors.IndexStateError` instead of triggering a
-        defensive full re-peel of the affected array.  Tests run strict.
     index:
         An already-built :class:`KPIndex` of exactly ``graph`` — a loaded
         checkpoint in the durability layer (:mod:`repro.service`) — to
@@ -227,12 +206,10 @@ class KPIndexMaintainer:
         self,
         graph: Graph,
         mode: MaintenanceMode = MaintenanceMode.RANGE,
-        strict: bool = False,
         index: KPIndex | None = None,
     ) -> None:
         self.graph = graph
         self.mode = mode
-        self.strict = strict
         #: Write-ahead hooks: each callable receives ``(op, u, v)`` with
         #: ``op`` in ``{"insert", "delete"}`` *before* the update is
         #: applied — the journaling point of :mod:`repro.service`.  A hook
@@ -254,10 +231,6 @@ class KPIndexMaintainer:
             index.validate()
             self.index = index
         self.stats = MaintenanceStats()
-
-    def _fire_update_hooks(self, op: str, u: Vertex, v: Vertex) -> None:
-        for hook in self.update_hooks:
-            hook(op, u, v)
 
     # ------------------------------------------------------------------
     # public accessors
@@ -282,6 +255,36 @@ class KPIndexMaintainer:
         from-scratch kpCore under ``REPRO_VERIFY=1`` like :meth:`query`.
         """
         return self.index.query_slice(k, p)
+
+    # ------------------------------------------------------------------
+    # single-edge updates: batches of one
+    # ------------------------------------------------------------------
+    @verify_maintainer_update
+    def insert_edge(self, u: Vertex, v: Vertex) -> None:
+        """Insert ``(u, v)`` and repair the index (Algorithm 4).
+
+        Fires the ``update_hooks`` first, then runs the batch planner on
+        the one op; raises :class:`~repro.errors.SelfLoopError` or
+        :class:`~repro.errors.EdgeExistsError` before anything mutates.
+        """
+        self._apply_one("insert", u, v, metric.MAINT_SPAN_INSERT)
+
+    @verify_maintainer_update
+    def delete_edge(self, u: Vertex, v: Vertex) -> None:
+        """Delete ``(u, v)`` and repair the index (Algorithm 5).
+
+        Fires the ``update_hooks`` first, then runs the batch planner on
+        the one op; raises :class:`~repro.errors.EdgeNotFoundError` before
+        anything mutates.
+        """
+        self._apply_one("delete", u, v, metric.MAINT_SPAN_DELETE)
+
+    def _apply_one(self, op: str, u: Vertex, v: Vertex, span: str) -> None:
+        for hook in self.update_hooks:
+            hook(op, u, v)
+        with maybe_span(span):
+            ops, _ = coalesce_updates(self.graph, ((op, u, v),))
+            self._apply_batch_impl(ops, workers=1)
 
     # ------------------------------------------------------------------
     # vertex dynamics (Sec. VI preamble): reduce to edge updates
@@ -317,9 +320,9 @@ class KPIndexMaintainer:
     ) -> None:
         """Apply a batch of edge updates (deletions first, then insertions).
 
-        Convenience wrapper over the single-edge algorithms; the index is
-        exact after every intermediate step, so a failure mid-batch leaves
-        a consistent (partially updated) state.
+        Convenience wrapper over :meth:`delete_edge` / :meth:`insert_edge`;
+        the index is exact after every intermediate step, so a failure
+        mid-batch leaves a consistent (partially updated) state.
         """
         for u, v in deletions:
             self.delete_edge(u, v)
@@ -342,22 +345,14 @@ class KPIndexMaintainer:
         anything mutates, and insert+delete pairs of the same edge cancel
         without touching the index at all.  Every surviving update is then
         applied to the graph/core numbers, and each affected ``A_k``
-        re-peels exactly **once**:
-
-        * membership-stable arrays re-peel the *union* of the per-edge
-          Thm. 3-5/8/9 windows ``[p_-, p_+]`` (and are skipped outright
-          when the unioned support bound meets the unioned cap — the
-          batched form of Theorem 6);
-        * arrays whose k-core membership churned re-peel in full through
-          one shared :class:`CompactAdjacency` snapshot and the Algorithm 2
-          peel kernel (scratch reused across ks; ``workers > 1`` fans
-          these across the process pool).
-
-        Each touched array bumps its version once per batch, so serving
-        caches invalidate once instead of once per edge.  A coalesced
-        batch of exactly one update delegates to the single-edge
-        Algorithm 4/5 code path verbatim (same windows, same Theorem 6
-        skips, same version bumps).
+        re-peels at most **once** (see the module docstring):
+        membership-stable arrays through the batch window ``[p_-, p_+]``
+        (skipped outright when it is empty — the batched form of
+        Theorem 6), membership-churned arrays through ``[0, p_+]`` for one
+        net op and in full through one shared :class:`CompactAdjacency`
+        snapshot otherwise (``workers > 1`` fans those across the process
+        pool).  Each touched array bumps its version once per batch, so
+        serving caches invalidate once instead of once per edge.
         """
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
@@ -374,20 +369,12 @@ class KPIndexMaintainer:
         for hook in self.batch_hooks:
             hook(ops)
         before_updated = self.stats.arrays_updated
-        if len(ops) == 1:
-            op, u, v = ops[0]
-            if op == "insert":
-                with maybe_span(metric.MAINT_SPAN_INSERT):
-                    self._insert_edge_impl(u, v)
-            else:
-                with maybe_span(metric.MAINT_SPAN_DELETE):
-                    self._delete_edge_impl(u, v)
-            verify_batch_state(self, (u, v))
-            return BatchReport(
-                1, cancelled, self.stats.arrays_updated - before_updated
-            )
         with maybe_span(metric.MAINT_SPAN_BATCH):
             windowed, full = self._apply_batch_impl(ops, workers)
+        if obs is not None:
+            obs.add(metric.MAINT_BATCH_WINDOW_UNIONS, windowed)
+            obs.add(metric.MAINT_BATCH_FULL_REPEELS, full)
+            obs.add(metric.MAINT_BATCH_ARRAYS, windowed + full)
         verify_batch_state(
             self, tuple({w for _, u, v in ops for w in (u, v)})
         )
@@ -406,104 +393,137 @@ class KPIndexMaintainer:
     ) -> tuple[int, int]:
         """Apply coalesced ``ops``; returns (windowed, full) re-peel counts."""
         obs = get_collector()
-        touched: dict[int, _KTouch] = {}
-
-        def touch(k: int) -> _KTouch:
-            t = touched.get(k)
-            if t is None:
-                t = _KTouch()
-                touched[k] = t
-            return t
-
+        #: Per op, the largest k it registers at: an op only touches A_k
+        #: while an endpoint's core number is >= k *at that moment*.
+        reach: list[int] = []
+        #: k -> (joined, left), the net k-core membership churn.  A key
+        #: exists as soon as *any* promote/demote fired at k, even if a
+        #: later opposite event cancelled it: a mid-batch membership dip
+        #: breaks the registration invariant the window relies on, so in
+        #: a batch of more than one op such an array re-peels in full.
+        churn: dict[int, tuple[set[Vertex], set[Vertex]]] = {}
         for op, u, v in ops:
+            cn_old_u = self._cores.core_number_or(u)
+            cn_old_v = self._cores.core_number_or(v)
+            low = min(cn_old_u, cn_old_v)
             if op == "insert":
-                cn_old_u = self._cores.core_number_or(u)
-                cn_old_v = self._cores.core_number_or(v)
-                promoted = self._cores.insert_edge(u, v)
+                movers = self._cores.insert_edge(u, v)
                 self.stats.insertions += 1
                 self.index.adjust_num_edges(+1)
-                low = min(cn_old_u, cn_old_v)
-                k_changed = low + 1 if promoted else None
-                movers = promoted
+                k_changed = low + 1
                 k_max = max(
                     self._cores.core_number(u), self._cores.core_number(v)
                 )  # Theorem 2
+                skip_metric = metric.MAINT_THM2_SKIPS
             else:
-                cn_old_u = self._cores.core_number(u)
-                cn_old_v = self._cores.core_number(v)
                 movers = self._cores.delete_edge(u, v)
                 self.stats.deletions += 1
                 self.index.adjust_num_edges(-1)
-                low = min(cn_old_u, cn_old_v)
-                k_changed = low if movers else None
+                k_changed = low
                 k_max = max(cn_old_u, cn_old_v)  # Theorem 7
-            for k in range(2, k_max + 1):
-                touch(k).endpoints.update((u, v))
-            if k_changed is not None and k_changed >= 2:
-                t = touch(k_changed)
-                t.membership_changed = True
-                if op == "insert":
-                    for w in movers:
-                        if w in t.left:
-                            t.left.discard(w)
-                        else:
-                            t.joined.add(w)
-                else:
-                    for w in movers:
-                        if w in t.joined:
-                            t.joined.discard(w)
-                        else:
-                            t.left.add(w)
+                skip_metric = metric.MAINT_THM7_SKIPS
+            if obs is not None:
+                # Theorems 2/7: arrays above both endpoint core numbers
+                # are provably untouched by this op.
+                obs.add(
+                    skip_metric,
+                    max(0, self.index.degeneracy - max(k_max, 1)),
+                )
+            reach.append(k_max)
+            if movers and k_changed >= 2:
+                if k_changed not in churn:
+                    churn[k_changed] = (set(), set())
+                joined, left = churn[k_changed]
+                gained, lost = (
+                    (joined, left) if op == "insert" else (left, joined)
+                )
+                for w in movers:
+                    if w in lost:
+                        lost.discard(w)
+                    else:
+                        gained.add(w)
 
         self._update_a1_after_batch(ops)
 
-        windowed_plans: list[tuple[KArray, float, float]] = []
+        single = len(ops) == 1
+        windowed_plans: list[
+            tuple[KArray, set[Vertex] | None, float, float]
+        ] = []
         full_ks: list[int] = []
-        for k in sorted(touched):
-            t = touched[k]
+        # A mover's level never exceeds its op's reach, so this range
+        # covers every churned k too.
+        for k in range(2, max(reach) + 1):
             self.stats.arrays_examined += 1
             if obs is not None:
                 obs.inc(metric.MAINT_ARRAYS_EXAMINED)
             array = self._ensure_array(k)
-            if self.mode is MaintenanceMode.FULL_K or t.membership_changed:
+            moved = churn.get(k)
+            if self.mode is MaintenanceMode.FULL_K or (
+                moved is not None and not single
+            ):
                 full_ks.append(k)
                 continue
-            plan = self._batch_window(array, t)
+            members = None
+            if moved is not None:
+                joined, left = moved
+                members = array.vertex_set()
+                members |= joined
+                members -= left
+            k_ops = [entry for entry, r in zip(ops, reach) if r >= k]
+            plan = self._batch_window(array, k_ops, members)
             if plan is None:
-                # Batched Theorem 6: the unioned window is empty, so the
-                # array provably cannot change — no re-peel, no bump.
+                # Batched Theorem 6: the window is empty, so the array
+                # provably cannot change — no re-peel, no bump.
                 self.stats.arrays_skipped_theorem6 += 1
                 if obs is not None:
                     obs.inc(metric.MAINT_THM6_SKIPS)
                 continue
             p_minus, p_plus = plan
             if obs is not None:
-                obs.inc(metric.MAINT_BATCH_WINDOW_UNIONS)
                 self._record_window(obs, p_minus, p_plus)
-            windowed_plans.append((array, p_minus, p_plus))
-        for array, p_minus, p_plus in windowed_plans:
-            self._repeel_and_splice(array, None, p_minus, p_plus)
+            windowed_plans.append((array, members, p_minus, p_plus))
+        for array, members, p_minus, p_plus in windowed_plans:
+            self._repeel_and_splice(array, members, p_minus, p_plus)
         if full_ks:
             self._repeel_full_arrays(full_ks, workers)
-        if obs is not None:
-            obs.add(metric.MAINT_BATCH_FULL_REPEELS, len(full_ks))
-            obs.add(
-                metric.MAINT_BATCH_ARRAYS,
-                len(full_ks) + len(windowed_plans),
-            )
         return len(windowed_plans), len(full_ks)
 
     def _batch_window(
-        self, array: KArray, t: _KTouch
+        self,
+        array: KArray,
+        ops: Sequence[tuple[str, Vertex, Vertex]],
+        members: set[Vertex] | None,
     ) -> tuple[float, float] | None:
-        """The unioned ``[p_-, p_+]`` window of one membership-stable array.
+        """The ``[p_-, p_+]`` window of one array over the batch ``ops``.
 
-        ``p_+`` (Thms. 4/9 unioned): for ``p0`` above every endpoint's old
-        p-number, ``C_{k,p0}(G)`` avoids every batch edge and stays valid
-        in the post-batch graph ``G_B``; for ``p0`` above every
-        member-endpoint's ``p̃`` (computed on ``G_B``), ``C_{k,p0}(G_B)``
-        avoids every endpoint and stays valid in ``G`` — above the max of
-        both, the two cores coincide and the suffix is untouched.
+        ``members`` is the post-batch k-core ``C_k(G_B)`` when the array's
+        membership churned (the window is then ``[0, p_+]``), else
+        ``None``: the array's own members are ``C_k(G_B)``.  Old
+        p-numbers ``pn_old`` are 0 outside ``A_k``; ``p̃`` (Def. 6) is
+        evaluated on ``G_B`` over ``C_k(G_B)``.
+
+        ``p_+`` is the max over every op of its Thm. 4/9 cap:
+        ``max(pn_old(u), pn_old(v))``, and on top of that
+        ``min(p̃(u), p̃(v))`` for an insert with both endpoints in
+        ``C_k(G_B)``, or ``p̃(x)`` for each endpoint ``x`` of a delete that
+        lies in ``C_k(G_B)``.  *Soundness* — for ``p0 > p_+`` the two
+        cores coincide, so the suffix above ``p_+`` is untouched:
+
+        * ``C_{k,p0}(G)`` avoids every endpoint (each ``pn_old <= p_+``),
+          so its vertices keep their neighbourhoods and it is a
+          ``(k, p0)``-core of ``G_B`` as well;
+        * ``C_{k,p0}(G_B)`` avoids every member endpoint of a deleted edge
+          (``pn_new(x) <= p̃(x) <= p_+``) and at least one endpoint of
+          every inserted edge (the one with the smaller ``p̃``, or the one
+          outside ``C_k(G_B)``), so no vertex of it loses a neighbour
+          inside it when the batch is undone, and its fractions only rise
+          in ``G``: it is a ``(k, p0)``-core of ``G`` as well.
+
+        For one op this is Thms. 4/9 with the minor cases' cap.  The
+        per-op sum is what the monotone vertex function of a generalized
+        core allows (Batagelj–Zaveršnik); taking the endpoint-wise max
+        instead would lose the Thm. 6 skip of an insert with one endpoint
+        in the k-core.
 
         ``p_-`` (Thms. 3/5/8 + Def. 7 unioned, clamped): with ``p1`` the
         smallest member-endpoint old p-number, ``C = C_{k,p1}(G)`` is its
@@ -514,27 +534,33 @@ class KPIndexMaintainer:
         identical.  Returns ``None`` when ``p_- >= p_+``: the window is
         empty and the array provably cannot change (batched Theorem 6).
         """
-        members = array.members_view()
-        bounds = BoundsCache(self.graph, members)
-        graph = self.graph
+        kcore = array.members_view() if members is None else members
+        bounds = BoundsCache(self.graph, kcore)
+        pn_old = array.p_number_or
         p_plus = 0.0
-        inside: list[Vertex] = []
-        for x in t.endpoints:
-            pn_old = array.p_number_or(x, 0.0)
-            if pn_old > p_plus:
-                p_plus = pn_old
-            if x in members:
-                inside.append(x)
-                cap = bounds.p_tilde(x)
+        for op, u, v in ops:
+            p_plus = max(p_plus, pn_old(u, 0.0), pn_old(v, 0.0))
+            if op == "delete":
+                for x in (u, v):
+                    if x in kcore:
+                        p_plus = max(p_plus, bounds.p_tilde(x))
+            elif u in kcore and v in kcore:
+                # max(p_plus, min(a, b)) without b's two-hop scan when
+                # a cannot raise the cap.
+                cap = bounds.p_tilde(u)
                 if cap > p_plus:
-                    p_plus = cap
+                    p_plus = min(cap, max(p_plus, bounds.p_tilde(v)))
+        if members is not None:
+            return 0.0, p_plus
+        inside = {x for _, u, v in ops for x in (u, v) if x in kcore}
         if not inside:
             return 0.0, p_plus
         p1 = min(array.p_number(x) for x in inside)
-        witness = set(array.query(p1))
+        graph = self.graph
         p_minus = p1
         for x in inside:
-            dx = degree_in(graph, witness, x)
+            # deg(x, C_{k,p1}(G)) on G_B: the members of pn >= p1.
+            dx = sum(1 for w in graph.neighbors(x) if pn_old(w, -1.0) >= p1)
             if dx < array.k:
                 p_minus = 0.0
                 break
@@ -622,236 +648,6 @@ class KPIndexMaintainer:
         self.index.bump_version(1)
 
     # ------------------------------------------------------------------
-    # edge insertion — Algorithm 4 (kpIndexInsert)
-    # ------------------------------------------------------------------
-    @verify_maintainer_update
-    def insert_edge(self, u: Vertex, v: Vertex) -> None:
-        """Insert ``(u, v)`` and repair the index.
-
-        Under ``REPRO_OBS`` the update records one counter per theorem it
-        fires (Thms. 2-6) plus the ``[p_-, p_+]`` windows it re-peels.
-        """
-        self._fire_update_hooks("insert", u, v)
-        with maybe_span(metric.MAINT_SPAN_INSERT):
-            self._insert_edge_impl(u, v)
-
-    def _insert_edge_impl(self, u: Vertex, v: Vertex) -> None:
-        obs = get_collector()
-        cn_old_u = self._cores.core_number_or(u)
-        cn_old_v = self._cores.core_number_or(v)
-        promoted = self._cores.insert_edge(u, v)  # graph is now G+
-        self.stats.insertions += 1
-        self.index.adjust_num_edges(+1)
-        self._update_a1_after_insert(u, v)
-
-        low, high = sorted((cn_old_u, cn_old_v))
-        small, large = (u, v) if cn_old_u <= cn_old_v else (v, u)
-        k_changed = low + 1 if promoted else None
-        k_max = max(self._cores.core_number(u), self._cores.core_number(v))
-        if obs is not None:
-            # Theorem 2: every A_k with k > max(cn(u), cn(v)) is provably
-            # untouched — count how many the k-range cut skips outright.
-            obs.add(
-                metric.MAINT_THM2_SKIPS,
-                max(0, self.index.degeneracy - max(k_max, 1)),
-            )
-
-        for k in range(2, k_max + 1):
-            self.stats.arrays_examined += 1
-            if obs is not None:
-                obs.inc(metric.MAINT_ARRAYS_EXAMINED)
-            array = self._ensure_array(k)
-            if self.mode is MaintenanceMode.FULL_K:
-                # Promotions only enter the (low+1)-core; other arrays keep
-                # their membership and are merely re-peeled.
-                joining = promoted if k == k_changed else set()
-                members = self._current_members(array, k, joining, set())
-                self._repeel_and_splice(array, members, 0.0, 1.0)
-                continue
-            if k == k_changed:
-                # Minor case: `promoted` just joined this k-core.  Levels
-                # above every endpoint bound are unchanged: for p0 beyond
-                # the old p-numbers, C_{k,p0}(G) avoids the new edge and
-                # stays valid in G+; beyond both p̃ bounds, C_{k,p0}(G+)
-                # avoids both endpoints and stays valid in G.
-                members = self._current_members(array, k, promoted, set())
-                bounds = BoundsCache(self.graph, members)
-                p_plus = max(
-                    array.p_number_or(u, 0.0),
-                    array.p_number_or(v, 0.0),
-                    bounds.p_tilde(u),
-                    bounds.p_tilde(v),
-                )
-                if obs is not None:
-                    obs.inc(metric.MAINT_MINOR_CASES)
-                    self._record_window(obs, 0.0, p_plus)
-                self._repeel_and_splice(array, members, 0.0, p_plus)
-            elif k <= low:
-                # Case 1.1: both endpoints are in the (unchanged) k-core;
-                # membership tests run against the array's own p-number
-                # map, avoiding an O(|V_k|) set build.
-                pn_u = array.p_number_or(u, 0.0)
-                pn_v = array.p_number_or(v, 0.0)
-                p_minus = min(pn_u, pn_v)  # Theorem 3
-                bounds = BoundsCache(self.graph, array.members_view())
-                p_plus = max(  # Theorem 4
-                    min(bounds.p_tilde(u), bounds.p_tilde(v)),
-                    pn_u,
-                    pn_v,
-                )
-                if obs is not None:
-                    obs.inc(metric.MAINT_THM3_WINDOWS)
-                    obs.inc(metric.MAINT_THM4_WINDOWS)
-                    self._record_window(obs, p_minus, p_plus)
-                self._repeel_and_splice(array, None, p_minus, p_plus)
-            else:
-                # Case 1.2: cn(small) < k <= cn(large); only `large` is in
-                # the k-core and its p-number can only decrease.
-                p1 = array.p_number_or(large, 0.0)
-                core_at_p1 = set(array.query(p1))
-                p_star = insertion_support_bound(self.graph, core_at_p1, large, p1)
-                if p_star >= p1:  # Theorem 6: A_k provably unchanged
-                    self.stats.arrays_skipped_theorem6 += 1
-                    if obs is not None:
-                        obs.inc(metric.MAINT_THM6_SKIPS)
-                    continue
-                if obs is not None:
-                    obs.inc(metric.MAINT_THM5_WINDOWS)
-                    self._record_window(obs, p_star, p1)
-                self._repeel_and_splice(array, None, p_star, p1)
-
-    # ------------------------------------------------------------------
-    # edge deletion — Algorithm 5 (kpIndexDelete)
-    # ------------------------------------------------------------------
-    @verify_maintainer_update
-    def delete_edge(self, u: Vertex, v: Vertex) -> None:
-        """Delete ``(u, v)`` and repair the index.
-
-        Under ``REPRO_OBS`` the update records one counter per theorem it
-        fires (Thms. 7-9) plus the ``[p_-, p_+]`` windows it re-peels.
-        """
-        self._fire_update_hooks("delete", u, v)
-        with maybe_span(metric.MAINT_SPAN_DELETE):
-            self._delete_edge_impl(u, v)
-
-    def _delete_edge_impl(self, u: Vertex, v: Vertex) -> None:
-        obs = get_collector()
-        if not self.graph.has_edge(u, v):
-            raise EdgeNotFoundError(u, v)
-        cn_old_u = self._cores.core_number(u)
-        cn_old_v = self._cores.core_number(v)
-        demoted = self._cores.delete_edge(u, v)  # graph is now G-
-        self.stats.deletions += 1
-        self.index.adjust_num_edges(-1)
-        self._update_a1_after_delete(u, v)
-
-        low, high = sorted((cn_old_u, cn_old_v))
-        large = v if cn_old_v >= cn_old_u else u
-        k_changed = low if demoted else None
-        k_max = high  # Theorem 7
-        if obs is not None:
-            # Theorem 7: arrays above both old core numbers are untouched.
-            obs.add(
-                metric.MAINT_THM7_SKIPS,
-                max(0, self.index.degeneracy - max(k_max, 1)),
-            )
-
-        for k in range(2, k_max + 1):
-            self.stats.arrays_examined += 1
-            if obs is not None:
-                obs.inc(metric.MAINT_ARRAYS_EXAMINED)
-            array = self._ensure_array(k)
-            if self.mode is MaintenanceMode.FULL_K:
-                # Demotions only leave the low-core; other arrays keep
-                # their membership and are merely re-peeled.
-                leaving = demoted if k == k_changed else set()
-                members = self._current_members(array, k, set(), leaving)
-                self._repeel_and_splice(array, members, 0.0, 1.0)
-                continue
-            if k == k_changed:
-                # Minor case: `demoted` just left this k-core.  Unlike the
-                # paper's Sec. VI-B, the cap must also dominate the *old*
-                # endpoint p-numbers: for p0 beyond them, C_{k,p0}(G)
-                # avoids the removed edge and is still a valid core of G-.
-                members = self._current_members(array, k, set(), demoted)
-                bounds = BoundsCache(self.graph, members)
-                candidates = [
-                    array.p_number_or(u, 0.0),
-                    array.p_number_or(v, 0.0),
-                ]
-                if u in members:
-                    candidates.append(bounds.p_tilde(u))
-                if v in members:
-                    candidates.append(bounds.p_tilde(v))
-                if obs is not None:
-                    obs.inc(metric.MAINT_MINOR_CASES)
-                    self._record_window(obs, 0.0, max(candidates))
-                self._repeel_and_splice(array, members, 0.0, max(candidates))
-            elif k <= low:
-                # Major case, both endpoints in the k-core (Thm. 8 / Def. 7
-                # for p_-, via the sound pair bound; Thm. 9 for p_+).
-                pn_u = array.p_number(u)
-                pn_v = array.p_number(v)
-                p1 = min(pn_u, pn_v)
-                p_minus = deletion_pair_bound(
-                    self.graph, set(array.query(p1)), u, v, k, p1
-                )
-                # Thm. 9 widened by the old endpoint p-numbers (see the
-                # minor-case comment): both are needed for levels where
-                # C_{k,p0}(G) must avoid the removed edge.
-                bounds = BoundsCache(self.graph, array.members_view())
-                p_plus = max(bounds.p_tilde(u), bounds.p_tilde(v), pn_u, pn_v)
-                if obs is not None:
-                    obs.inc(metric.MAINT_THM8_WINDOWS)
-                    obs.inc(metric.MAINT_THM9_WINDOWS)
-                    self._record_window(obs, p_minus, p_plus)
-                self._repeel_and_splice(array, None, p_minus, p_plus)
-            else:
-                # Major case, cn(small) < k <= cn(large): only `large` in
-                # the k-core; its p-number can only rise.
-                p_minus = array.p_number(large)  # Theorem 8
-                # Theorem 9 capped from below by the old p-number, so the
-                # window is never inverted.
-                bounds = BoundsCache(self.graph, array.members_view())
-                p_plus = max(bounds.p_tilde(large), p_minus)
-                if obs is not None:
-                    obs.inc(metric.MAINT_THM8_WINDOWS)
-                    obs.inc(metric.MAINT_THM9_WINDOWS)
-                    self._record_window(obs, p_minus, p_plus)
-                self._repeel_and_splice(array, None, p_minus, p_plus)
-
-    # ------------------------------------------------------------------
-    # A_1 bookkeeping: every 1-core vertex has p-number exactly 1.0
-    # ------------------------------------------------------------------
-    # For k = 1 the (1,p)-core is the whole graph minus isolated vertices,
-    # for *every* p in [0, 1]: each vertex keeps all of its neighbours, so
-    # every fraction is 1.  A_1 therefore only tracks membership.
-    def _update_a1_after_insert(self, u: Vertex, v: Vertex) -> None:
-        array = self._ensure_array(1)
-        changed = False
-        for w in (u, v):
-            if not array.contains(w):
-                array.vertices.append(w)
-                array.p_numbers.append(1.0)
-                changed = True
-        if changed:
-            array._rebuild_levels()
-            self.index.bump_version(1)
-
-    def _update_a1_after_delete(self, u: Vertex, v: Vertex) -> None:
-        isolated = [w for w in (u, v) if self.graph.degree(w) == 0]
-        if not isolated:
-            return
-        array = self._ensure_array(1)
-        drop = set(isolated)
-        before = len(array.vertices)
-        array.vertices = [w for w in array.vertices if w not in drop]
-        array.p_numbers = [1.0] * len(array.vertices)
-        array._rebuild_levels()
-        if len(array.vertices) != before:
-            self.index.bump_version(1)
-
-    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     @staticmethod
@@ -879,19 +675,6 @@ class KPIndexMaintainer:
             self.index.bump_version(k)
         return array
 
-    def _current_members(
-        self,
-        array: KArray,
-        k: int,
-        promoted: Iterable[Vertex],
-        demoted: Iterable[Vertex],
-    ) -> set[Vertex]:
-        """Vertex set of the *current* k-core, derived incrementally."""
-        members = array.vertex_set()
-        members.update(promoted)
-        members.difference_update(demoted)
-        return members
-
     @staticmethod
     def _residual(
         array: KArray, members: set[Vertex] | None, p_minus: float
@@ -918,12 +701,15 @@ class KPIndexMaintainer:
     ) -> None:
         """Recompute p-numbers in ``[p_minus, p_plus]`` and splice ``A_k``.
 
-        ``members=None`` means the k-core membership is unchanged (the
-        major cases): the residual is then the array's own ``pn >= p_-``
-        suffix, found by bisection, so per-array work is proportional to
-        the window instead of |V_k|.  Otherwise ``members`` is the current
-        k-core, and its vertices missing from the array are new members
-        that must be peeled before the Theorem 4/9 early stop may fire.
+        ``members=None`` means the k-core membership is unchanged: the
+        residual is then the array's own ``pn >= p_-`` suffix, found by
+        bisection, so per-array work is proportional to the window instead
+        of |V_k|.  Otherwise ``members`` is the current k-core, and its
+        vertices missing from the array are new members that must be
+        peeled before the Theorem 4/9 early stop may fire.  A window that
+        does not contain every change raises
+        :class:`~repro.errors.IndexStateError` — from the kernel, from the
+        early-stop check below or from the splice's ordering check.
         """
         k = array.k
         # Bump before touching the array: even an exceptional exit below
@@ -934,13 +720,13 @@ class KPIndexMaintainer:
         order, p_numbers, tail, stopped = peel_residual(
             self.graph, residual, first_new, k, p_plus
         )
-        if stopped and self.strict:
-            bad = [x for x in tail if array.p_number(x) <= p_plus]
-            if bad:
-                raise IndexStateError(
-                    f"A_{k}: early-stop tail contains p-numbers "
-                    f"<= p_+ ({bad[:3]}...)"
-                )
+        # The tail is in old array order, so its head has the smallest
+        # old p-number: every survivor must lie above p_+.
+        if tail and array.p_number(tail[0]) <= p_plus:
+            raise IndexStateError(
+                f"A_{k}: early-stop tail starts at p-number "
+                f"{array.p_number(tail[0])} <= p_+ = {p_plus}"
+            )
         self.stats.arrays_updated += 1
         self.stats.vertices_repeeled += len(order)
         if stopped:
@@ -951,28 +737,9 @@ class KPIndexMaintainer:
             obs.add(metric.MAINT_VERTICES_REPEELED, len(order))
             if stopped:
                 obs.inc(metric.MAINT_EARLY_STOPS)
-        try:
-            array.replace_segment(
-                keep_below=p_minus,
-                segment_vertices=order,
-                segment_p_numbers=p_numbers,
-                tail_from=tail,
-            )
-        except IndexStateError:
-            if self.strict:
-                raise
-            # Defensive fallback: the window was too narrow (should not
-            # happen; kept as a safety valve for unanticipated topologies).
-            self.stats.fallback_rebuilds += 1
-            if obs is not None:
-                obs.inc(metric.MAINT_FALLBACK_REBUILDS)
-            full = (
-                list(dict.fromkeys(array.vertices))
-                if members is None
-                else list(members)
-            )
-            # first_new=0 marks every vertex new: no early stop.
-            order, p_numbers, _, _ = peel_residual(self.graph, full, 0, k, 1.0)
-            array.vertices = order
-            array.p_numbers = p_numbers
-            array._rebuild_levels()
+        array.replace_segment(
+            keep_below=p_minus,
+            segment_vertices=order,
+            segment_p_numbers=p_numbers,
+            tail_from=tail,
+        )

@@ -34,9 +34,8 @@ The drain's ingredients:
   is two list reads: ``rank = vli[lp[u] + d]``.  The full decomposition
   builds one global ladder (``1 <= a <= b`` per distinct degree — at
   most ``2m`` slots, independent of ``k``) in its :class:`FlatScratch`;
-  the residual peel builds a local one over ``min(k, d_r(v)) <= a <=
-  d_r(v)``, which includes ``a = 0`` for a vertex with no residual
-  neighbour.
+  the residual peel builds a local one over ``k <= a <= d_r(v)`` (a
+  vertex is killed, not re-keyed, when its count drops below ``k``).
 * **Bin-sorted drain, no dict, no floats.**  Vertices are parked in
   per-rank chains threaded through one preallocated two-array arena
   (``arena_vertex`` / ``arena_next``), the flat-array generalization of
@@ -75,7 +74,7 @@ from bisect import bisect_left, bisect_right
 from itertools import repeat
 from typing import Any, Sequence
 
-from repro.errors import ParameterError
+from repro.errors import IndexStateError, ParameterError
 from repro.graph.adjacency import Graph, Vertex
 from repro.graph.compact import CompactAdjacency
 from repro.obs import names
@@ -339,7 +338,7 @@ def peel_fixed_k_flat(
         return [], []
     plen = state.prefix_lengths(k)
     order, p_numbers, _ = _drain(
-        state, k, members, (), plen, plen[:],
+        state, k, members, plen, plen[:],
         stop_rank=state.num_levels, first_new=0, pending=0,
         obs=obs, trace_start=trace_start,
     )
@@ -358,12 +357,16 @@ def peel_residual(
     ``residual[:first_new]`` are vertices with an old p-number, in old
     array order; ``residual[first_new:]`` are new k-core members.  Keys
     use the global degree ``deg_G(v)`` as denominator, so every emitted
-    p-number is the same double a full decomposition stores.  Vertices
-    that start with fewer than ``k`` residual neighbours are peeled in
-    the first round, at the residual's minimum level.  Before every
-    later round the Theorem 4/9 early stop applies: once the round's
+    p-number is the same double a full decomposition stores.  Before
+    every round the Theorem 4/9 early stop applies: once the round's
     level exceeds ``p_plus`` and no new member is still alive, the peel
     stops and the survivors keep their old p-numbers.
+
+    A correct window's residual is a k-core of ``graph`` (the
+    ``pn >= p_-`` suffix of ``A_k`` is one), so a vertex that starts with
+    fewer than ``k`` residual neighbours means the window is wrong:
+    :class:`~repro.errors.IndexStateError` is raised before anything is
+    peeled.
 
     Returns ``(order, p_numbers, tail, stopped_early)``; ``tail`` is the
     survivors in old array order (empty unless the peel stopped early).
@@ -382,22 +385,26 @@ def peel_residual(
         ind.extend(map(local.__getitem__, nbrs & inside))
         iptr.append(len(ind))
     deg = [iptr[i + 1] - iptr[i] for i in range(n)]
-    # Degrees below k are only read once, as a seed's starting key.
-    spans: dict[int, tuple[int, int]] = {}
+    low = min(deg)
+    if low < k:
+        w = residual[deg.index(low)]
+        raise IndexStateError(
+            f"A_{k}: residual vertex {w!r} has {low} residual neighbours "
+            f"< k; the re-peel window does not contain every change"
+        )
+    # A vertex is killed as soon as its count drops below k, so only
+    # numerators k..d are ever looked up.
+    spans: dict[int, int] = {}
     for b, d in zip(gdeg, deg):
-        lo = d if d < k else k
-        span = spans.get(b)
-        if span is None:
-            spans[b] = (lo, d)
-        elif lo < span[0] or d > span[1]:
-            spans[b] = (min(lo, span[0]), max(d, span[1]))
-    ladder = _rank_ladder(spans, gdeg, key_scale(max(gdeg)))
+        if d > spans.get(b, 0):
+            spans[b] = d
+    ladder = _rank_ladder(
+        {b: (k, d) for b, d in spans.items()}, gdeg, key_scale(max(gdeg))
+    )
     state = _DrainState(iptr, ind, ladder)
-    members = [i for i in range(n) if deg[i] >= k]
-    seeds = [i for i in range(n) if deg[i] < k]
     deg_s = deg[:]
     order, p_numbers, stopped = _drain(
-        state, k, members, seeds, deg, deg_s,
+        state, k, range(n), deg, deg_s,
         stop_rank=bisect_right(state.lvl_val, p_plus),
         first_new=first_new, pending=n - first_new,
         obs=None, trace_start=0.0,
@@ -415,7 +422,6 @@ def _drain(
     state: _DrainState,
     k: int,
     members: Sequence[int],
-    seeds: Sequence[int],
     plen: Sequence[int],
     deg_s: list[int],
     *,
@@ -427,11 +433,9 @@ def _drain(
 ) -> tuple[list[int], list[float], bool]:
     """Rounds walk the rank cursor, cascades re-park; see the module doc.
 
-    ``members`` start with ``deg_s >= k`` and are parked at their rank;
-    ``seeds`` start below ``k`` and die in the first round, whose level
-    is the minimum rank over both.  Vertex ``v``'s live neighbours are
-    ``ind[iptr[v] : iptr[v] + plen[v]]``.  Before each round — except a
-    first round that has seeds — the peel stops when the cursor has
+    ``members`` start with ``deg_s >= k`` and are parked at their rank.
+    Vertex ``v``'s live neighbours are ``ind[iptr[v] : iptr[v] +
+    plen[v]]``.  Before each round the peel stops when the cursor has
     reached ``stop_rank`` and none of the ``pending`` vertices with id
     ``>= first_new`` is alive; the third result says whether it did.
     """
@@ -465,18 +469,12 @@ def _drain(
     stack: list[int] = []
     stack_append = stack.append
     stack_pop = stack.pop
-    for v in seeds:
-        r = vli[lp[v] + deg_s[v]]
-        if r < rank_min:
-            rank_min = r
-        deg_s[v] = km1
-        stack_append(v)
     parked = tail
     order: list[int] = []
     p_numbers: list[float] = []
     order_extend = order.extend
     pn_extend = p_numbers.extend
-    remaining = len(members) + len(seeds)
+    remaining = len(members)
     cur = rank_min
     stopped = False
     dirty: list[int] = []
@@ -488,31 +486,28 @@ def _drain(
     rank_skips = 0
     seeds_total = 0
     while remaining:
-        if not stack:
-            # Advance to the next epoch-stamped rank.  Every surviving
-            # vertex sits in a chain stamped this epoch at its current
-            # rank (the round-end park below guarantees it), so while
-            # anything remains the walk terminates before running off
-            # the ladder.
-            start = cur
-            while bin_epoch[cur] != epoch:
-                cur += 1
-            rank_skips += cur - start
-            if cur >= stop_rank and not pending:
-                # Theorems 4/9: every later level exceeds p_+, so the
-                # survivors keep their old p-numbers.
-                stopped = True
-                break
-        if bin_epoch[cur] == epoch:
-            # Seed a round: consume the chain parked at the cursor rank,
-            # filtering entries whose vertex died or re-parked lower.
-            node = bin_head[cur]
-            while node >= 0:
-                v = arena_vertex[node]
-                node = arena_next[node]
-                if deg_s[v] > km1 and rank_of[v] == cur:
-                    deg_s[v] = km1
-                    stack_append(v)
+        # Advance to the next epoch-stamped rank.  Every surviving vertex
+        # sits in a chain stamped this epoch at its current rank (the
+        # round-end park below guarantees it), so while anything remains
+        # the walk terminates before running off the ladder.
+        start = cur
+        while bin_epoch[cur] != epoch:
+            cur += 1
+        rank_skips += cur - start
+        if cur >= stop_rank and not pending:
+            # Theorems 4/9: every later level exceeds p_+, so the
+            # survivors keep their old p-numbers.
+            stopped = True
+            break
+        # Seed a round: consume the chain parked at the cursor rank,
+        # filtering entries whose vertex died or re-parked lower.
+        node = bin_head[cur]
+        while node >= 0:
+            v = arena_vertex[node]
+            node = arena_next[node]
+            if deg_s[v] > km1 and rank_of[v] == cur:
+                deg_s[v] = km1
+                stack_append(v)
         if not stack:
             cur += 1
             rank_skips += 1

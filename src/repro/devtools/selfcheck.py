@@ -110,7 +110,7 @@ def selfcheck_graph(graph, out: IO[str] = sys.stdout) -> int:
 
         def roundtrip_check() -> None:
             working = graph.copy()
-            maintainer = KPIndexMaintainer(working, strict=True)
+            maintainer = KPIndexMaintainer(working)
             edges = []
             for edge in working.edges():
                 edges.append(edge)

@@ -61,23 +61,16 @@ DECOMP_SPAN_SORT = "sort_neighbors"
 DECOMP_SPAN_PEEL = "peel_all_k"
 
 # ----------------------------------------------------------------------
-# KP-Index maintenance (repro.core.maintenance) — Algorithms 4/5,
-# one counter per theorem that fires
+# KP-Index maintenance (repro.core.maintenance) — Algorithms 4/5 as
+# one batch planner: the skip theorems count, the windows are histograms
 # ----------------------------------------------------------------------
 MAINT_THM2_SKIPS = "maintenance.thm2.arrays_skipped"
-MAINT_THM3_WINDOWS = "maintenance.thm3.p_minus_bounds"
-MAINT_THM4_WINDOWS = "maintenance.thm4.p_plus_bounds"
-MAINT_THM5_WINDOWS = "maintenance.thm5.support_windows"
 MAINT_THM6_SKIPS = "maintenance.thm6.arrays_skipped"
 MAINT_THM7_SKIPS = "maintenance.thm7.arrays_skipped"
-MAINT_THM8_WINDOWS = "maintenance.thm8.p_minus_bounds"
-MAINT_THM9_WINDOWS = "maintenance.thm9.p_plus_bounds"
-MAINT_MINOR_CASES = "maintenance.minor_cases"
 MAINT_ARRAYS_EXAMINED = "maintenance.arrays_examined"
 MAINT_ARRAYS_REPEELED = "maintenance.arrays_repeeled"
 MAINT_VERTICES_REPEELED = "maintenance.vertices_repeeled"
 MAINT_EARLY_STOPS = "maintenance.early_stops"
-MAINT_FALLBACK_REBUILDS = "maintenance.fallback_rebuilds"
 MAINT_WINDOW_WIDTH = "maintenance.window_width"
 MAINT_WINDOW_P_MINUS = "maintenance.window_p_minus"
 MAINT_WINDOW_P_PLUS = "maintenance.window_p_plus"
@@ -171,26 +164,19 @@ COUNTERS: dict[str, str] = {
     DECOMP_FLAT_RANK_SKIPS: "rank-cursor steps over empty/stale chains",
     DECOMP_PARALLEL_TASKS: "fixed-k peel tasks dispatched to the pool",
     DECOMP_PARALLEL_CHUNKS: "task chunks pulled from the shared pool queue",
-    MAINT_THM2_SKIPS: "A_k skipped: k above both new core numbers (insert)",
-    MAINT_THM3_WINDOWS: "p_- lower bounds from Theorem 3 (insert, both in k-core)",
-    MAINT_THM4_WINDOWS: "p_+ upper bounds from Theorem 4 (insert, both in k-core)",
-    MAINT_THM5_WINDOWS: "support windows via Theorem 5 (insert, one endpoint)",
-    MAINT_THM6_SKIPS: "A_k skipped: Theorem 6 support bound certifies no change",
-    MAINT_THM7_SKIPS: "A_k skipped: k above both old core numbers (delete)",
-    MAINT_THM8_WINDOWS: "p_- lower bounds from Theorem 8 (delete)",
-    MAINT_THM9_WINDOWS: "p_+ upper bounds from Theorem 9 (delete)",
-    MAINT_MINOR_CASES: "arrays updated through the minor (core-change) case",
+    MAINT_THM2_SKIPS: "A_k skipped per insert: k above both new core numbers",
+    MAINT_THM6_SKIPS: "A_k skipped: empty [p_-, p_+] window certifies no change (Theorem 6)",
+    MAINT_THM7_SKIPS: "A_k skipped per delete: k above both old core numbers",
     MAINT_ARRAYS_EXAMINED: "arrays examined across all updates",
     MAINT_ARRAYS_REPEELED: "arrays actually re-peeled (not skipped)",
     MAINT_VERTICES_REPEELED: "vertices re-peeled across all arrays",
     MAINT_EARLY_STOPS: "re-peels stopped early at p_+ (Thms. 4/9)",
-    MAINT_FALLBACK_REBUILDS: "defensive full array rebuilds",
     MAINT_BATCH_BATCHES: "apply_batch calls (one coalesced batch each)",
     MAINT_BATCH_UPDATES: "net updates applied through apply_batch",
     MAINT_BATCH_CANCELLED: "insert+delete pairs cancelled by coalescing",
     MAINT_BATCH_ARRAYS: "arrays re-peeled once per batch (windowed + full)",
-    MAINT_BATCH_WINDOW_UNIONS: "membership-stable arrays re-peeled via a unioned window",
-    MAINT_BATCH_FULL_REPEELS: "membership-churned arrays re-peeled in full per batch",
+    MAINT_BATCH_WINDOW_UNIONS: "arrays apply_batch re-peeled through a [p_-, p_+] window",
+    MAINT_BATCH_FULL_REPEELS: "arrays apply_batch re-peeled in full (churn in a multi-op batch, or FULL_K)",
     INDEX_QUERIES: "KP-Index queries answered (Algorithm 3)",
     INDEX_EMPTY_QUERIES: "queries whose answer was empty",
     INDEX_VERTICES_TOUCHED: "vertices returned across all queries",

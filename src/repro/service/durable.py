@@ -173,7 +173,7 @@ class DurableMaintainer:
     on_error:
         :class:`ErrorPolicy` (or its string value) for failing updates in
         :meth:`apply`.
-    mode / strict:
+    mode:
         Forwarded to :class:`~repro.core.maintenance.KPIndexMaintainer`.
     must_exist:
         Refuse to initialize a fresh directory — ``index recover`` uses
@@ -190,7 +190,6 @@ class DurableMaintainer:
         checkpoint_every: int = CHECKPOINT_EVERY_DEFAULT,
         on_error: ErrorPolicy | str = ErrorPolicy.FAIL,
         mode: MaintenanceMode = MaintenanceMode.RANGE,
-        strict: bool = False,
         must_exist: bool = False,
         fault_hook: Callable[[str], None] | None = None,
     ) -> None:
@@ -226,7 +225,6 @@ class DurableMaintainer:
         self.maintainer = KPIndexMaintainer(
             graph,
             mode=mode,
-            strict=strict,
             index=index,
         )
         tail = read_journal(journal_path, after_seq=checkpoint_seq)

@@ -8,15 +8,20 @@ rebuild — while re-peeling each affected ``A_k`` at most once per batch
 and bumping its version exactly once.  Batches of one must be
 *behaviourally identical* to the single-edge path, version bumps
 included, and insert+delete cancellations must leave the index
-byte-identical (no spurious bumps, no ghost vertices).
+byte-identical (no spurious bumps, no ghost vertices).  The window edge
+cases of the batch planner (inserted edges inside the core beside other
+ops on the same vertices, mid-batch membership dips, ties and ``A_1``
+isolation) are soaked against both :meth:`KPIndex.build` and the
+definition-literal :mod:`repro.core.naive` oracle.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import (
     EdgeExistsError,
@@ -26,12 +31,15 @@ from repro.errors import (
 )
 from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi_gnm
+from repro.kcore.maintenance import CoreMaintainer
 from repro.core.index import KPIndex
 from repro.core.maintenance import (
+    BatchReport,
     KPIndexMaintainer,
     MaintenanceMode,
     coalesce_updates,
 )
+from repro.core.naive import naive_p_numbers_fixed_k
 
 BATCH_SIZES = (1, 2, 16)
 
@@ -79,8 +87,8 @@ class TestDifferentialSoak:
     def test_batch_sizes_agree(self, size, mode):
         g = erdos_renyi_gnm(16, 40, seed=11)
         ops = _random_stream(11, 16, 40, g)
-        batched = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
-        sequential = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
+        batched = KPIndexMaintainer(g.copy(), mode=mode)
+        sequential = KPIndexMaintainer(g.copy(), mode=mode)
         _apply_batched(batched, ops, size)
         for op, u, v in ops:
             if op == "insert":
@@ -98,7 +106,7 @@ class TestDifferentialSoak:
         m = rng.randint(n, min(48, n * (n - 1) // 2))
         g = erdos_renyi_gnm(n, m, seed=seed)
         ops = _random_stream(seed, n, 50, g)
-        maintainer = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
+        maintainer = KPIndexMaintainer(g.copy(), mode=mode)
         size = rng.choice(BATCH_SIZES)
         _apply_batched(maintainer, ops, size)
         assert maintainer.index.semantically_equal(
@@ -108,8 +116,8 @@ class TestDifferentialSoak:
     def test_workers_parity(self, mode):
         g = erdos_renyi_gnm(18, 50, seed=13)
         ops = _random_stream(13, 18, 40, g)
-        serial = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
-        parallel = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
+        serial = KPIndexMaintainer(g.copy(), mode=mode)
+        parallel = KPIndexMaintainer(g.copy(), mode=mode)
         _apply_batched(serial, ops, 16, workers=1)
         _apply_batched(parallel, ops, 16, workers=2)
         assert serial.index.semantically_equal(parallel.index)
@@ -120,8 +128,8 @@ class TestDifferentialSoak:
     def test_property_batched_equals_sequential(self, seed, size):
         g = erdos_renyi_gnm(10, 20, seed=seed % 97)
         ops = _random_stream(seed, 10, 30, g)
-        batched = KPIndexMaintainer(g.copy(), strict=True)
-        sequential = KPIndexMaintainer(g.copy(), strict=True)
+        batched = KPIndexMaintainer(g.copy())
+        sequential = KPIndexMaintainer(g.copy())
         _apply_batched(batched, ops, size)
         for op, u, v in ops:
             if op == "insert":
@@ -131,14 +139,171 @@ class TestDifferentialSoak:
         assert batched.index.semantically_equal(sequential.index)
 
 
+def _assert_matches_oracles(maintainer: KPIndexMaintainer) -> None:
+    """The index equals a rebuild and, per k, the naive p-numbers."""
+    graph = maintainer.graph
+    assert maintainer.index.semantically_equal(KPIndex.build(graph))
+    arrays = maintainer.index.arrays()
+    for k in range(1, maintainer.index.degeneracy + 2):
+        array = arrays.get(k)
+        got = array.pn_map() if array is not None else {}
+        assert got == naive_p_numbers_fixed_k(graph, k), k  # noqa: KP002
+
+
+def _batched_and_singles(
+    graph: Graph, ops: list
+) -> tuple[list[KPIndexMaintainer], BatchReport]:
+    """``ops`` applied as one batch and as single-edge updates."""
+    batched = KPIndexMaintainer(graph.copy())
+    report = batched.apply_batch(ops)
+    singles = KPIndexMaintainer(graph.copy())
+    for op, u, v in ops:
+        if op == "insert":
+            singles.insert_edge(u, v)
+        else:
+            singles.delete_edge(u, v)
+    return [batched, singles], report
+
+
+class TestWindowEdgeCases:
+    """Hypothesis soaks aimed at the batch window rule's edge cases."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_core_inserts_sharing_endpoints_with_other_ops(self, seed, pairs):
+        # Inserted edges with both endpoints in a k-core contribute
+        # min(p~(u), p~(v)) to p_+; deletes and outward inserts on the
+        # same endpoints must still be covered by the other ops' caps.
+        rng = random.Random(seed)
+        g = erdos_renyi_gnm(11, rng.randint(22, 34), seed=seed)
+        cores = CoreMaintainer(g.copy())
+        top = max(cores.core_number(w) for w in g.vertices())
+        core = sorted(w for w in g.vertices() if cores.core_number(w) >= top - 1)
+        absent = [e for e in combinations(core, 2) if not g.has_edge(*e)]
+        assume(absent and top >= 2)
+        chosen = rng.sample(absent, min(pairs, len(absent)))
+        touched = {frozenset(e) for e in chosen}
+        ops = [("insert", a, b) for a, b in chosen]
+        for x in sorted({x for e in chosen for x in e}):
+            incident = sorted(
+                (x, y) for y in g.neighbors(x) if frozenset((x, y)) not in touched
+            )
+            if incident and rng.random() < 0.7:
+                edge = rng.choice(incident)
+                touched.add(frozenset(edge))
+                ops.append(("delete", *edge))
+            outside = [
+                y for y in range(13)
+                if y != x and frozenset((x, y)) not in touched
+                and not g.has_edge(x, y)
+            ]
+            if outside and rng.random() < 0.5:
+                y = rng.choice(outside)
+                touched.add(frozenset((x, y)))
+                ops.append(("insert", x, y))
+        rng.shuffle(ops)  # one op per edge, so every order is valid
+        for maintainer in _batched_and_singles(g, ops)[0]:
+            _assert_matches_oracles(maintainer)
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_mid_batch_membership_dips(self, seed, promote_first):
+        # One op moves vertices across a k-core boundary and a later op on
+        # a different edge moves one of them back: the net churn is empty
+        # but the array must still re-peel in full.
+        rng = random.Random(seed)
+        g = erdos_renyi_gnm(10, rng.randint(13, 22), seed=seed)
+        present = sorted(g.edges())
+        absent = [
+            e for e in combinations(range(10), 2) if not g.has_edge(*e)
+        ]
+        rng.shuffle(present)
+        rng.shuffle(absent)
+        first_pool, second_pool = (
+            (absent, present) if promote_first else (present, absent)
+        )
+        first_op, second_op = (
+            ("insert", "delete") if promote_first else ("delete", "insert")
+        )
+
+        def moved(graph: Graph, op: str, edge) -> tuple[Graph, set]:
+            """The graph after ``op`` and the vertices whose core number
+            crossed a boundary k >= 2 (k = 1 is A_1 bookkeeping)."""
+            graph = graph.copy()
+            cores = CoreMaintainer(graph)
+            if op == "insert":
+                movers = cores.insert_edge(*edge)
+                return graph, {w for w in movers if cores.core_number(w) >= 2}
+            movers = cores.delete_edge(*edge)
+            return graph, {w for w in movers if cores.core_number(w) >= 1}
+
+        dip = None
+        for first in first_pool[:12]:
+            middle, movers = moved(g, first_op, first)
+            if not movers:
+                continue
+            for second in second_pool:
+                if frozenset(second) == frozenset(first):
+                    continue
+                if moved(middle, second_op, second)[1] & movers:
+                    dip = [(first_op, *first), (second_op, *second)]
+                    break
+            if dip:
+                break
+        assume(dip is not None)
+        used = {frozenset(op[1:]) for op in dip}
+        extra = [e for e in present if frozenset(e) not in used][:2]
+        ops = dip + [("delete", *e) for e in extra]
+        maintainers, report = _batched_and_singles(g, ops)
+        for maintainer in maintainers:
+            _assert_matches_oracles(maintainer)
+        assert report.full_repeels >= 1
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_ties_and_a1_isolation(self, seed):
+        # Cliques and a cycle put whole arrays on one tied level; the
+        # batch isolates a vertex (it must leave A_1), hangs pendants on
+        # fresh vertices (they must join A_1) and breaks ties by bridging
+        # or thinning the cliques.
+        rng = random.Random(seed)
+        edges = (
+            list(combinations(range(4), 2))
+            + list(combinations(range(4, 9), 2))
+            + [(9 + i, 9 + (i + 1) % 5) for i in range(5)]
+        )
+        g = Graph(edges)
+        lonely = rng.randrange(14)
+        touched = set()
+        ops = []
+        for y in sorted(g.neighbors(lonely)):
+            touched.add(frozenset((lonely, y)))
+            ops.append(("delete", lonely, y))
+        for fresh in range(20, 20 + rng.randint(1, 3)):
+            anchor = rng.choice([w for w in range(14) if w != lonely])
+            ops.append(("insert", anchor, fresh))
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.sample([w for w in range(14) if w != lonely], 2)
+            edge = frozenset((a, b))
+            if edge in touched:
+                continue
+            touched.add(edge)
+            ops.append(("delete" if g.has_edge(a, b) else "insert", a, b))
+        rng.shuffle(ops)
+        for maintainer in _batched_and_singles(g, ops)[0]:
+            _assert_matches_oracles(maintainer)
+            assert not maintainer.index.array(1).contains(lonely)
+            assert maintainer.index.array(1).contains(20)
+
+
 class TestSingletonParity:
     """A batch of one must be the single-edge path, bumps included."""
 
     def test_batch_of_one_matches_single_edge_exactly(self, mode):
         g = erdos_renyi_gnm(14, 36, seed=21)
         ops = _random_stream(21, 14, 30, g)
-        batched = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
-        single = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
+        batched = KPIndexMaintainer(g.copy(), mode=mode)
+        single = KPIndexMaintainer(g.copy(), mode=mode)
         for op, u, v in ops:
             batched.apply_batch([(op, u, v)])
             if op == "insert":
@@ -152,7 +317,7 @@ class TestSingletonParity:
 
     def test_singleton_counts_as_insert_or_delete(self):
         g = Graph([(0, 1), (1, 2), (2, 0)])
-        maintainer = KPIndexMaintainer(g, strict=True)
+        maintainer = KPIndexMaintainer(g)
         report = maintainer.apply_batch([("insert", 0, 3)])
         assert report.applied == 1
         assert maintainer.stats.insertions == 1
@@ -173,7 +338,7 @@ class TestCancellation:
             for b in range(a + 1, 12)
             if not g.has_edge(a, b)
         )
-        maintainer = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
+        maintainer = KPIndexMaintainer(g.copy(), mode=mode)
         before_bytes = _index_bytes(maintainer.index)
         before_versions = maintainer.index.versions()
         report = maintainer.apply_batch([("insert", u, v), ("delete", u, v)])
@@ -184,7 +349,7 @@ class TestCancellation:
 
     def test_cancelled_insert_never_creates_vertices(self, mode):
         g = Graph([(0, 1), (1, 2), (2, 0)])
-        maintainer = KPIndexMaintainer(g, mode=mode, strict=True)
+        maintainer = KPIndexMaintainer(g, mode=mode)
         maintainer.apply_batch([("insert", 98, 99), ("delete", 98, 99)])
         assert not maintainer.graph.has_vertex(98)
         assert not maintainer.graph.has_vertex(99)
@@ -193,7 +358,7 @@ class TestCancellation:
         # The A_1 bookkeeping must also see the *net* batch: deleting a
         # pendant edge and re-inserting it in one batch is a no-op.
         g = Graph([(0, 1), (1, 2), (2, 0), (0, 3)])
-        maintainer = KPIndexMaintainer(g, mode=mode, strict=True)
+        maintainer = KPIndexMaintainer(g, mode=mode)
         before_bytes = _index_bytes(maintainer.index)
         before_versions = maintainer.index.versions()
         report = maintainer.apply_batch(
@@ -205,7 +370,7 @@ class TestCancellation:
 
     def test_mixed_batch_with_cancellations(self, mode):
         g = erdos_renyi_gnm(12, 28, seed=9)
-        maintainer = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
+        maintainer = KPIndexMaintainer(g.copy(), mode=mode)
         edge = next(iter(g.edges()))
         a, b = next(
             (x, y)
@@ -265,7 +430,7 @@ class TestCoalesce:
 
     def test_apply_batch_invalid_is_all_or_nothing(self, mode):
         g = Graph([(0, 1), (1, 2), (2, 0)])
-        maintainer = KPIndexMaintainer(g, mode=mode, strict=True)
+        maintainer = KPIndexMaintainer(g, mode=mode)
         before_bytes = _index_bytes(maintainer.index)
         before_versions = maintainer.index.versions()
         with pytest.raises(EdgeExistsError):
@@ -278,7 +443,7 @@ class TestCoalesce:
         assert maintainer.stats.batches == 0
 
     def test_bad_workers_rejected_before_mutation(self, triangle):
-        maintainer = KPIndexMaintainer(triangle, strict=True)
+        maintainer = KPIndexMaintainer(triangle)
         with pytest.raises(ParameterError):
             maintainer.apply_batch([("insert", 0, 3)], workers=0)
         assert not triangle.has_edge(0, 3)
@@ -286,7 +451,7 @@ class TestCoalesce:
 
 class TestBatchReport:
     def test_empty_batch_is_a_noop(self, triangle):
-        maintainer = KPIndexMaintainer(triangle, strict=True)
+        maintainer = KPIndexMaintainer(triangle)
         report = maintainer.apply_batch([])
         assert report.applied == 0
         assert report.arrays_repeeled == 0
@@ -294,7 +459,7 @@ class TestBatchReport:
 
     def test_report_counts_move(self, mode):
         g = erdos_renyi_gnm(14, 36, seed=17)
-        maintainer = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
+        maintainer = KPIndexMaintainer(g.copy(), mode=mode)
         ops = _random_stream(17, 14, 16, g)
         report = maintainer.apply_batch(ops)
         assert report.applied == len(ops) - 2 * report.cancelled_pairs

@@ -7,7 +7,7 @@ minimum fraction and degree-violation cascades, where a peel goes wrong
 first — its deletion order is canonical, and a shared scratch gives the
 same output as a fresh one.  The residual entry point
 (:func:`repro.core.peel_flat.peel_residual`) is checked against
-:meth:`KPIndex.build`, directly and through ``strict=True`` maintainers.
+:meth:`KPIndex.build`, directly and through maintainers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ParameterError
+from repro.errors import IndexStateError, ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.compact import CompactAdjacency
 from repro.graph.generators import erdos_renyi_gnm
@@ -276,42 +276,38 @@ class _ResidualSpy:
 def _assert_matches_build(maintainer: KPIndexMaintainer) -> None:
     fresh = KPIndex.build(maintainer.graph)
     assert maintainer.index.semantically_equal(fresh)
-    assert maintainer.stats.fallback_rebuilds == 0
 
 
 class TestResidualKernel:
     """peel_residual, the window re-peel of Algorithms 4/5."""
 
-    def test_boundary_violator_peels_in_first_round(self):
+    def test_boundary_violator_raises(self):
         # Vertex 4 keeps one of its four neighbours in the residual, so it
-        # starts below k=3 and dies in the first round, at the residual's
-        # minimum level (its own 1/4).  The 3-core {0..3} must then come
-        # out exactly as the index build has it.
+        # starts below k=3.  A correct window's residual is a k-core, so
+        # the kernel refuses it instead of peeling it in a first round.
         g = Graph(
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
              (0, 4), (4, 5), (4, 6), (4, 7)]
         )
+        with pytest.raises(IndexStateError, match="residual vertex 4"):
+            peel_residual(g, [0, 1, 2, 3, 4], 0, 3, 1.0)
+        # Without the violator the residual is the 3-core and peels
+        # exactly as the index build has it.
         order, p_numbers, tail, stopped = peel_residual(
-            g, [0, 1, 2, 3, 4], 0, 3, 1.0
+            g, [0, 1, 2, 3], 0, 3, 1.0
         )
         assert not stopped and tail == []
-        assert (order[0], p_numbers[0]) == (4, 0.25)
-        got = dict(zip(order[1:], p_numbers[1:]))
         fresh = KPIndex.build(g).array(3).pn_map()
-        assert got == fresh  # noqa: KP002 exact-double oracle
+        assert dict(zip(order, p_numbers)) == fresh  # noqa: KP002 oracle
 
     def test_vertex_without_residual_neighbour(self):
-        # Vertex 9 has no neighbour inside the residual: its key is
-        # 0 / deg, the a = 0 ladder slot, so the first round runs at 0.0
-        # and the k-core vertices keep their p-numbers.
+        # Vertex 9 has no neighbour inside the residual (the a = 0 key the
+        # ladder no longer holds): the kernel raises, even when it is a
+        # new member that would otherwise block the early stop.
         g = Graph([(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (9, 5), (5, 6)])
-        residual = [0, 1, 2, 3, 9]
-        order, p_numbers, tail, stopped = peel_residual(g, residual, 0, 2, 1.0)
-        assert not stopped and tail == []
-        got = dict(zip(order, p_numbers))
-        assert got[9] == 0.0  # noqa: KP002 exact-double oracle
-        fresh = KPIndex.build(g).array(2).pn_map()
-        assert {v: got[v] for v in range(4)} == fresh
+        for first_new in (5, 4):
+            with pytest.raises(IndexStateError, match="residual vertex 9"):
+                peel_residual(g, [0, 1, 2, 3, 9], first_new, 2, 1.0)
 
     #: K5 {0..4} plus vertex 5 on 0, 1 and the pendant 9.  At k=2 vertex
     #: 5 peels at 2/3, then all of the K5 at 4/5.
@@ -352,7 +348,7 @@ class TestResidualKernel:
              (5, 6), (6, 8), (6, 9), (7, 8)]
         )
         spy = _ResidualSpy(monkeypatch)
-        maintainer = KPIndexMaintainer(g, strict=True)
+        maintainer = KPIndexMaintainer(g)
         maintainer.insert_edge(2, 7)
         assert any(
             stopped and first_new < size for size, first_new, stopped in spy.calls
@@ -367,7 +363,7 @@ class TestResidualKernel:
              (6, 7), (7, 8), (7, 9)]
         )
         spy = _ResidualSpy(monkeypatch)
-        maintainer = KPIndexMaintainer(g, strict=True)
+        maintainer = KPIndexMaintainer(g)
         maintainer.delete_edge(0, 7)
         assert any(
             stopped and first_new == size
@@ -379,7 +375,7 @@ class TestResidualKernel:
     def test_string_labelled_stream(self, seed):
         base = erdos_renyi_gnm(30, 110, seed=seed)
         g = Graph((f"v{u}", f"v{w}") for u, w in base.edges())
-        maintainer = KPIndexMaintainer(g, strict=True)
+        maintainer = KPIndexMaintainer(g)
         rng = random.Random(seed)
         labels = sorted(g.vertices())
         for _ in range(25):

@@ -92,7 +92,7 @@ def test_inactive_contracts_never_invoke_checks(monkeypatch, sample_graph):
 def test_real_algorithms_satisfy_their_contracts(active, sample_graph):
     kp_core_vertices(sample_graph, 2, 0.5)
     kp_core_decomposition(sample_graph)
-    maintainer = KPIndexMaintainer(sample_graph.copy(), strict=True)
+    maintainer = KPIndexMaintainer(sample_graph.copy())
     edges = sorted(sample_graph.edges())[:4]
     for u, v in edges:
         maintainer.delete_edge(u, v)

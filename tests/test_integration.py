@@ -67,7 +67,7 @@ class TestDynamicPipeline:
             )
 
     def test_growing_graph_from_scratch(self):
-        maintainer = KPIndexMaintainer(Graph(), strict=True)
+        maintainer = KPIndexMaintainer(Graph())
         rng = random.Random(5)
         for _ in range(60):
             u, v = rng.randrange(12), rng.randrange(12)
@@ -80,7 +80,7 @@ class TestDynamicPipeline:
 
     def test_shrinking_graph_to_empty(self):
         g = Graph([(0, 1), (1, 2), (2, 0), (2, 3)])
-        maintainer = KPIndexMaintainer(g, strict=True)
+        maintainer = KPIndexMaintainer(g)
         for u, v in list(g.edges()):
             maintainer.delete_edge(u, v)
         assert maintainer.index.query(1, 0.0) == []

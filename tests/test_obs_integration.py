@@ -143,13 +143,14 @@ class TestMaintenancePruning:
         snapshot = metrics.snapshot()
 
         assert snapshot.counter(names.MAINT_THM6_SKIPS) >= 1
-        assert snapshot.counter(names.MAINT_THM3_WINDOWS) >= 1
-        assert snapshot.counter(names.MAINT_THM8_WINDOWS) >= 1
-        # Theorem 6 skips plus actual re-peels account for every array
-        # the k-loop examined, minus the minor-case updates.
-        assert snapshot.counter(names.MAINT_ARRAYS_REPEELED) + snapshot.counter(
+        # Single-edge updates are batches of one: every examined array is
+        # either skipped by Theorem 6 or re-peeled through one recorded
+        # window (no array of a one-op batch re-peels in full).
+        repeeled = snapshot.counter(names.MAINT_ARRAYS_REPEELED)
+        assert repeeled + snapshot.counter(
             names.MAINT_THM6_SKIPS
-        ) <= snapshot.counter(names.MAINT_ARRAYS_EXAMINED)
+        ) == snapshot.counter(names.MAINT_ARRAYS_EXAMINED)
+        assert snapshot.histograms[names.MAINT_WINDOW_WIDTH].count == repeeled
 
         # Defs. 5-7: windows are real sub-intervals of [0, 1], never
         # inverted — a negative width would mean p_- exceeded p_+.

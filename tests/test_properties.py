@@ -138,7 +138,7 @@ def test_core_maintenance_equals_recomputation(edges, seed):
 def test_index_maintenance_equals_rebuild(edges, seed):
     g = graph_from(edges)
     maintainer = KPIndexMaintainer(
-        g.copy(), mode=MaintenanceMode.RANGE, strict=True
+        g.copy(), mode=MaintenanceMode.RANGE
     )
     rng = random.Random(seed)
     live = list(maintainer.graph.edges())
@@ -193,7 +193,7 @@ def test_maintainer_resumed_from_loaded_index_stays_exact(edges, seed):
         path = os.path.join(tmp, "index.json")
         KPIndex.build(g).save(path)
         loaded = KPIndex.load(path)
-    maintainer = KPIndexMaintainer(g.copy(), strict=True, index=loaded)
+    maintainer = KPIndexMaintainer(g.copy(), index=loaded)
     rng = random.Random(seed)
     for _ in range(8):
         live = list(maintainer.graph.edges())
@@ -218,7 +218,7 @@ def test_index_maintenance_with_vertex_dynamics(edges, seed):
     """Mixed vertex and edge updates keep the index exact."""
     g = graph_from(edges)
     maintainer = KPIndexMaintainer(
-        g.copy(), mode=MaintenanceMode.RANGE, strict=True
+        g.copy(), mode=MaintenanceMode.RANGE
     )
     rng = random.Random(seed)
     next_label = MAX_N
