@@ -30,7 +30,9 @@ We therefore use the corrected, provably sound forms:
   bound: every member other than ``v`` keeps fraction ``>= p1`` (degrees
   untouched by the update), and ``v`` keeps ``deg(v, C)`` of ``D``
   neighbours.  The paper's unclamped grid form can exceed ``p1`` and is
-  then not certified by any subgraph, so we clamp.
+  then not certified by any subgraph, so we clamp.  The maintenance
+  planner (:mod:`repro.core.maintenance`) computes this bound inline when
+  it derives a window's ``p_-``.
 
 Both corrections only make the maintenance windows marginally wider /
 skips marginally rarer; the asymptotic savings are unchanged and the test
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.errors import ParameterError
 from repro.graph.adjacency import Graph, Vertex
 from repro.core.pvalue import fraction_value
 
@@ -53,8 +54,6 @@ __all__ = [
     "BoundsCache",
     "p_hat",
     "p_tilde",
-    "insertion_support_bound",
-    "deletion_pair_bound",
 ]
 
 
@@ -165,52 +164,3 @@ def p_tilde(graph: Graph, kcore: set[Vertex], w: Vertex) -> float:
     the same core.
     """
     return BoundsCache(graph, kcore).p_tilde(w)
-
-
-def insertion_support_bound(
-    graph: Graph, core_at_p1: set[Vertex], v: Vertex, p1: float
-) -> float:
-    """Clamped lower bound on ``pn(v, k, G_+)`` — Thms. 5/6 (Eqs. 3-4).
-
-    ``graph`` must already contain the inserted edge, so ``deg(v, graph)``
-    equals the paper's ``deg(v, G) + 1``.  ``core_at_p1`` is the vertex set
-    of ``C_{k, p1}(G)`` with ``p1 = pn(v, k, G)``, from the pre-insertion
-    index; the other endpoint of the new edge is outside the k-core in this
-    case, hence outside ``core_at_p1``.
-    """
-    return min(p1, fraction_value(degree_in(graph, core_at_p1, v), graph.degree(v)))
-
-
-def deletion_pair_bound(
-    graph: Graph,
-    core_at_p1: set[Vertex],
-    u: Vertex,
-    v: Vertex,
-    k: int,
-    p1: float,
-) -> float:
-    """Sound replacement for Definition 7's lower bound (deletion case).
-
-    ``graph`` must already have the edge ``(u, v)`` removed and both
-    endpoints must be in the k-core; ``core_at_p1`` is ``C_{k,p1}(G)`` from
-    the pre-deletion index with ``p1 = min(pn(u,k,G), pn(v,k,G))``.
-
-    The witness is ``core_at_p1`` itself with the edge removed: its other
-    members keep fraction ``>= p1`` and degree ``>= k`` untouched, while
-    ``u`` and ``v`` each lose one inside-neighbour.  The witness — and
-    hence any positive bound — only exists when both endpoints still meet
-    the degree constraint inside it; Definition 7 misses that condition
-    (and the degree shift in its fraction terms), which lets cascades reach
-    below its value.  Returns 0.0 when the witness collapses.
-    """
-    if k < 0:
-        raise ParameterError(f"degree threshold k must be >= 0, got {k}")
-    du = degree_in(graph, core_at_p1, u)  # (u,v) already absent from graph
-    dv = degree_in(graph, core_at_p1, v)
-    if du < k or dv < k:
-        return 0.0
-    return min(
-        p1,
-        fraction_value(du, graph.degree(u)),
-        fraction_value(dv, graph.degree(v)),
-    )

@@ -1,31 +1,36 @@
 """KP-Index maintenance under edge insertion/deletion (Sec. VI, Algs. 4-5).
 
 :class:`KPIndexMaintainer` owns a graph, a :class:`~repro.kcore.
-maintenance.CoreMaintainer` (incremental core numbers) and a
+maintenance.CoreMaintainer` (core numbers) and a
 :class:`~repro.core.index.KPIndex`, and keeps the index exact under edge
-updates.  There is one maintenance path, the batch planner:
-:meth:`~KPIndexMaintainer.insert_edge` / :meth:`~KPIndexMaintainer.
-delete_edge` run it on a batch of one, :meth:`~KPIndexMaintainer.
-apply_batch` on a coalesced burst (insert+delete pairs of one edge
-cancel).  Per batch it:
+updates.  :meth:`~KPIndexMaintainer.insert_edge` /
+:meth:`~KPIndexMaintainer.delete_edge` and :meth:`~KPIndexMaintainer.
+apply_batch` all coalesce their ops first (insert+delete pairs of one
+edge cancel), and the number of net ops picks one of two rules.
 
-1. applies every net update to the graph and incrementally repairs core
-   numbers,
-2. skips every ``A_k`` with ``k`` above both endpoint core numbers
+**One net op** is the paper's Algorithm 4/5:
+
+1. apply the update to the graph and incrementally repair core numbers,
+2. skip every ``A_k`` with ``k`` above both endpoint core numbers
    (Theorem 2 for insertion, Theorem 7 for deletion),
-3. for each remaining ``k``, derives one p-number window ``[p_-, p_+]``
-   from the per-op windows of Algorithms 4/5 (Theorems 3-5, 8, 9,
-   Defs. 5-7) — vertices with old p-number outside it are untouched —
-   and skips the array outright when the window is empty (Theorem 6),
-4. re-peels the array once: the ``pn >= p_-`` suffix on the peel kernel,
-   stopping as soon as the level exceeds ``p_+`` (the survivors keep
-   their old p-numbers), spliced back into ``A_k``.
+3. for each remaining ``k``, derive the p-number window ``[p_-, p_+]``
+   (Theorems 3-5, 8, 9, Defs. 5-7) — vertices with old p-number outside
+   it are untouched — and skip the array outright when the window is
+   empty (Theorem 6),
+4. re-peel the ``pn >= p_-`` suffix on the peel kernel, stopping as soon
+   as the level exceeds ``p_+`` (the survivors keep their old
+   p-numbers), and splice it back into ``A_k``.  An array whose k-core
+   membership changed is windowed at ``[0, p_+]`` over its new members.
 
-An array whose k-core membership churned re-peels the window ``[0, p_+]``
-over its new members when the batch has one net op; in a larger batch it
-re-peels in full, through one shared
-:class:`~repro.graph.compact.CompactAdjacency` snapshot and the Algorithm 2
-kernel (optionally fanned across the ``repro.core.parallel`` worker pool).
+**More than one net op** re-peels in full: every op is applied to the
+graph, core numbers come from one linear decomposition of the post-batch
+graph, and ``A_2 .. A_reach`` are re-peeled from scratch through one
+shared :class:`~repro.graph.compact.CompactAdjacency` snapshot and the
+Algorithm 2 kernel (optionally fanned across the ``repro.core.parallel``
+worker pool).  ``reach`` is the largest old or new core number of a batch
+endpoint: Theorems 2/7 for a batch — if no endpoint lies in ``C_k``
+before or after, ``C_k`` and ``A_k`` are unchanged.
+
 Each touched array bumps its version once per batch, which is what lets
 the serving cache invalidate once instead of once per edge (see
 docs/algorithms.md, "Maintenance").
@@ -33,7 +38,7 @@ docs/algorithms.md, "Maintenance").
 A window that is too narrow is a bug, not a case: the re-peel raises
 :class:`~repro.errors.IndexStateError` instead of repairing it.
 
-Two modes support the ablation benchmark: ``RANGE`` (the machinery above,
+Two modes support the ablation benchmark: ``RANGE`` (the windows above,
 the paper's algorithm) and ``FULL_K`` (skip rules only; every affected
 ``A_k`` is re-peeled in full).  Both are property-tested for exact
 agreement with from-scratch decomposition.
@@ -116,9 +121,10 @@ class BatchReport:
     """What one :meth:`KPIndexMaintainer.apply_batch` call did.
 
     ``windowed_repeels`` counts arrays re-peeled through a ``[p_-, p_+]``
-    window (for a batch of one net op this includes membership-churned
-    arrays, windowed at ``[0, p_+]``); ``full_repeels`` counts arrays
-    re-peeled in full through the shared snapshot.
+    window, which only a batch of one net op in ``RANGE`` mode does
+    (membership-churned arrays included, windowed at ``[0, p_+]``);
+    ``full_repeels`` counts arrays re-peeled in full through the shared
+    snapshot — every reached array of a multi-op batch.
     """
 
     applied: int
@@ -313,22 +319,6 @@ class KPIndexMaintainer:
             array._rebuild_levels()
             self.index.bump_version(1)
 
-    def apply_updates(
-        self,
-        insertions: Iterable[tuple[Vertex, Vertex]] = (),
-        deletions: Iterable[tuple[Vertex, Vertex]] = (),
-    ) -> None:
-        """Apply a batch of edge updates (deletions first, then insertions).
-
-        Convenience wrapper over :meth:`delete_edge` / :meth:`insert_edge`;
-        the index is exact after every intermediate step, so a failure
-        mid-batch leaves a consistent (partially updated) state.
-        """
-        for u, v in deletions:
-            self.delete_edge(u, v)
-        for u, v in insertions:
-            self.insert_edge(u, v)
-
     # ------------------------------------------------------------------
     # batched maintenance: one re-peel per affected A_k
     # ------------------------------------------------------------------
@@ -343,16 +333,15 @@ class KPIndexMaintainer:
         The batch is validated and coalesced first
         (:func:`coalesce_updates`) — an invalid op sequence raises before
         anything mutates, and insert+delete pairs of the same edge cancel
-        without touching the index at all.  Every surviving update is then
-        applied to the graph/core numbers, and each affected ``A_k``
-        re-peels at most **once** (see the module docstring):
-        membership-stable arrays through the batch window ``[p_-, p_+]``
-        (skipped outright when it is empty — the batched form of
-        Theorem 6), membership-churned arrays through ``[0, p_+]`` for one
-        net op and in full through one shared :class:`CompactAdjacency`
-        snapshot otherwise (``workers > 1`` fans those across the process
-        pool).  Each touched array bumps its version once per batch, so
-        serving caches invalidate once instead of once per edge.
+        without touching the index at all.  One surviving op runs
+        Algorithm 4/5 (windowed re-peels, the Theorem 6 skip); more than
+        one applies every op to the graph, takes core numbers from one
+        decomposition of the result and re-peels ``A_2 .. A_reach`` in
+        full through one shared :class:`CompactAdjacency` snapshot
+        (``workers > 1`` fans those across the process pool) — see the
+        module docstring.  Each touched array re-peels at most **once**
+        and bumps its version once per batch, so serving caches
+        invalidate once instead of once per edge.
         """
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
@@ -392,88 +381,60 @@ class KPIndexMaintainer:
         workers: int,
     ) -> tuple[int, int]:
         """Apply coalesced ``ops``; returns (windowed, full) re-peel counts."""
+        if len(ops) > 1:
+            return 0, self._repeel_reached_arrays(ops, workers)
+        entry = ops[0]
+        op, u, v = entry
         obs = get_collector()
-        #: Per op, the largest k it registers at: an op only touches A_k
-        #: while an endpoint's core number is >= k *at that moment*.
-        reach: list[int] = []
-        #: k -> (joined, left), the net k-core membership churn.  A key
-        #: exists as soon as *any* promote/demote fired at k, even if a
-        #: later opposite event cancelled it: a mid-batch membership dip
-        #: breaks the registration invariant the window relies on, so in
-        #: a batch of more than one op such an array re-peels in full.
-        churn: dict[int, tuple[set[Vertex], set[Vertex]]] = {}
-        for op, u, v in ops:
-            cn_old_u = self._cores.core_number_or(u)
-            cn_old_v = self._cores.core_number_or(v)
-            low = min(cn_old_u, cn_old_v)
-            if op == "insert":
-                movers = self._cores.insert_edge(u, v)
-                self.stats.insertions += 1
-                self.index.adjust_num_edges(+1)
-                k_changed = low + 1
-                k_max = max(
-                    self._cores.core_number(u), self._cores.core_number(v)
-                )  # Theorem 2
-                skip_metric = metric.MAINT_THM2_SKIPS
-            else:
-                movers = self._cores.delete_edge(u, v)
-                self.stats.deletions += 1
-                self.index.adjust_num_edges(-1)
-                k_changed = low
-                k_max = max(cn_old_u, cn_old_v)  # Theorem 7
-                skip_metric = metric.MAINT_THM7_SKIPS
-            if obs is not None:
-                # Theorems 2/7: arrays above both endpoint core numbers
-                # are provably untouched by this op.
-                obs.add(
-                    skip_metric,
-                    max(0, self.index.degeneracy - max(k_max, 1)),
-                )
-            reach.append(k_max)
-            if movers and k_changed >= 2:
-                if k_changed not in churn:
-                    churn[k_changed] = (set(), set())
-                joined, left = churn[k_changed]
-                gained, lost = (
-                    (joined, left) if op == "insert" else (left, joined)
-                )
-                for w in movers:
-                    if w in lost:
-                        lost.discard(w)
-                    else:
-                        gained.add(w)
+        cn_old_u = self._cores.core_number_or(u)
+        cn_old_v = self._cores.core_number_or(v)
+        low = min(cn_old_u, cn_old_v)
+        if op == "insert":
+            movers = self._cores.insert_edge(u, v)
+            self.stats.insertions += 1
+            self.index.adjust_num_edges(+1)
+            k_changed = low + 1
+            reach = max(
+                self._cores.core_number(u), self._cores.core_number(v)
+            )  # Theorem 2
+            skip_metric = metric.MAINT_THM2_SKIPS
+        else:
+            movers = self._cores.delete_edge(u, v)
+            self.stats.deletions += 1
+            self.index.adjust_num_edges(-1)
+            k_changed = low
+            reach = max(cn_old_u, cn_old_v)  # Theorem 7
+            skip_metric = metric.MAINT_THM7_SKIPS
+        if obs is not None:
+            # Theorems 2/7: arrays above both endpoint core numbers are
+            # provably untouched by this op.
+            obs.add(skip_metric, max(0, self.index.degeneracy - max(reach, 1)))
 
         self._update_a1_after_batch(ops)
 
-        single = len(ops) == 1
-        windowed_plans: list[
-            tuple[KArray, set[Vertex] | None, float, float]
-        ] = []
+        windowed = 0
         full_ks: list[int] = []
-        # A mover's level never exceeds its op's reach, so this range
-        # covers every churned k too.
-        for k in range(2, max(reach) + 1):
+        # A mover's level never exceeds the op's reach, so this range
+        # covers the churned k too.
+        for k in range(2, reach + 1):
             self.stats.arrays_examined += 1
             if obs is not None:
                 obs.inc(metric.MAINT_ARRAYS_EXAMINED)
             array = self._ensure_array(k)
-            moved = churn.get(k)
-            if self.mode is MaintenanceMode.FULL_K or (
-                moved is not None and not single
-            ):
+            if self.mode is MaintenanceMode.FULL_K:
                 full_ks.append(k)
                 continue
             members = None
-            if moved is not None:
-                joined, left = moved
+            if movers and k == k_changed:
                 members = array.vertex_set()
-                members |= joined
-                members -= left
-            k_ops = [entry for entry, r in zip(ops, reach) if r >= k]
-            plan = self._batch_window(array, k_ops, members)
+                if op == "insert":
+                    members |= movers
+                else:
+                    members -= movers
+            plan = self._batch_window(array, entry, members)
             if plan is None:
-                # Batched Theorem 6: the window is empty, so the array
-                # provably cannot change — no re-peel, no bump.
+                # Theorem 6: the window is empty, so the array provably
+                # cannot change — no re-peel, no bump.
                 self.stats.arrays_skipped_theorem6 += 1
                 if obs is not None:
                     obs.inc(metric.MAINT_THM6_SKIPS)
@@ -481,85 +442,111 @@ class KPIndexMaintainer:
             p_minus, p_plus = plan
             if obs is not None:
                 self._record_window(obs, p_minus, p_plus)
-            windowed_plans.append((array, members, p_minus, p_plus))
-        for array, members, p_minus, p_plus in windowed_plans:
             self._repeel_and_splice(array, members, p_minus, p_plus)
+            windowed += 1
         if full_ks:
             self._repeel_full_arrays(full_ks, workers)
-        return len(windowed_plans), len(full_ks)
+        return windowed, len(full_ks)
+
+    def _repeel_reached_arrays(
+        self, ops: Sequence[tuple[str, Vertex, Vertex]], workers: int
+    ) -> int:
+        """Apply a multi-op batch and re-peel every reached ``A_k`` in full.
+
+        No per-op core repair and no window: the ops go straight into the
+        graph, core numbers come from one linear decomposition of the
+        post-batch graph, and ``A_2 .. A_reach`` re-peel through
+        :meth:`_repeel_full_arrays`.  ``reach`` is the largest old or new
+        core number of a batch endpoint — Theorems 2/7 for a batch: when
+        no endpoint lies in ``C_k`` before or after, no edge inside
+        ``C_k`` changed, so ``C_k`` and ``A_k`` are unchanged.  Returns
+        the number of arrays re-peeled.
+        """
+        endpoints = {w for _, u, v in ops for w in (u, v)}
+        reach = max(self._cores.core_number_or(w) for w in endpoints)
+        graph = self.graph
+        for op, u, v in ops:
+            if op == "insert":
+                graph.add_edge(u, v)
+                self.stats.insertions += 1
+                self.index.adjust_num_edges(+1)
+            else:
+                graph.remove_edge(u, v)
+                self.stats.deletions += 1
+                self.index.adjust_num_edges(-1)
+        self._cores = CoreMaintainer(graph)
+        reach = max(reach, max(self._cores.core_number(w) for w in endpoints))
+        self._update_a1_after_batch(ops)
+        ks = list(range(2, reach + 1))
+        if not ks:
+            return 0
+        self.stats.arrays_examined += len(ks)
+        obs = get_collector()
+        if obs is not None:
+            obs.add(metric.MAINT_ARRAYS_EXAMINED, len(ks))
+        for k in ks:
+            self._ensure_array(k)
+        self._repeel_full_arrays(ks, workers)
+        return len(ks)
 
     def _batch_window(
         self,
         array: KArray,
-        ops: Sequence[tuple[str, Vertex, Vertex]],
+        op: tuple[str, Vertex, Vertex],
         members: set[Vertex] | None,
     ) -> tuple[float, float] | None:
-        """The ``[p_-, p_+]`` window of one array over the batch ``ops``.
+        """The ``[p_-, p_+]`` window of one array for the single update ``op``.
 
-        ``members`` is the post-batch k-core ``C_k(G_B)`` when the array's
-        membership churned (the window is then ``[0, p_+]``), else
-        ``None``: the array's own members are ``C_k(G_B)``.  Old
-        p-numbers ``pn_old`` are 0 outside ``A_k``; ``p̃`` (Def. 6) is
-        evaluated on ``G_B`` over ``C_k(G_B)``.
+        ``members`` is the post-update k-core ``C_k(G')`` when the array's
+        membership changed (the window is then ``[0, p_+]``), else
+        ``None``: the array's own members are ``C_k(G')``.  Old p-numbers
+        ``pn_old`` are 0 outside ``A_k``; ``p̃`` (Def. 6) is evaluated on
+        ``G'`` over ``C_k(G')``.
 
-        ``p_+`` is the max over every op of its Thm. 4/9 cap:
-        ``max(pn_old(u), pn_old(v))``, and on top of that
+        ``p_+`` (Thms. 4/9): ``max(pn_old(u), pn_old(v))``, raised to
         ``min(p̃(u), p̃(v))`` for an insert with both endpoints in
-        ``C_k(G_B)``, or ``p̃(x)`` for each endpoint ``x`` of a delete that
-        lies in ``C_k(G_B)``.  *Soundness* — for ``p0 > p_+`` the two
-        cores coincide, so the suffix above ``p_+`` is untouched:
+        ``C_k(G')``, or to ``p̃(x)`` for each endpoint ``x`` of a delete
+        that lies in ``C_k(G')``.  An insert with one endpoint outside the
+        k-core (Algorithm 4's case 1.2) contributes no ``p̃``.  For
+        ``p0 > p_+``, ``C_{k,p0}(G)`` holds no endpoint and
+        ``C_{k,p0}(G')`` holds no member endpoint of a deleted edge and
+        at most one endpoint of an inserted one, so each is a
+        ``(k, p0)``-core of the other graph too and the suffix above
+        ``p_+`` is untouched.
 
-        * ``C_{k,p0}(G)`` avoids every endpoint (each ``pn_old <= p_+``),
-          so its vertices keep their neighbourhoods and it is a
-          ``(k, p0)``-core of ``G_B`` as well;
-        * ``C_{k,p0}(G_B)`` avoids every member endpoint of a deleted edge
-          (``pn_new(x) <= p̃(x) <= p_+``) and at least one endpoint of
-          every inserted edge (the one with the smaller ``p̃``, or the one
-          outside ``C_k(G_B)``), so no vertex of it loses a neighbour
-          inside it when the batch is undone, and its fractions only rise
-          in ``G``: it is a ``(k, p0)``-core of ``G`` as well.
-
-        For one op this is Thms. 4/9 with the minor cases' cap.  The
-        per-op sum is what the monotone vertex function of a generalized
-        core allows (Batagelj–Zaveršnik); taking the endpoint-wise max
-        instead would lose the Thm. 6 skip of an insert with one endpoint
-        in the k-core.
-
-        ``p_-`` (Thms. 3/5/8 + Def. 7 unioned, clamped): with ``p1`` the
-        smallest member-endpoint old p-number, ``C = C_{k,p1}(G)`` is its
-        own witness on ``G_B`` — non-endpoint members keep their degrees
-        (every degree-changed k-core vertex is a registered endpoint),
-        and member endpoints are re-checked explicitly.  Every member of
-        ``C`` keeps ``pn >= p_-``, so the prefix below ``p_-`` is
-        identical.  Returns ``None`` when ``p_- >= p_+``: the window is
-        empty and the array provably cannot change (batched Theorem 6).
+        ``p_-`` (Thms. 3/5/8 + Def. 7, clamped): with ``p1`` the smallest
+        member-endpoint old p-number, ``C = C_{k,p1}(G)`` is its own
+        witness on ``G'`` — non-endpoint members keep their degrees, and
+        member endpoints are re-checked explicitly.  Every member of ``C``
+        keeps ``pn >= p_-``, so the prefix below ``p_-`` is identical.
+        Returns ``None`` when ``p_- >= p_+``: the window is empty and the
+        array provably cannot change (Theorem 6).
         """
+        kind, u, v = op
         kcore = array.members_view() if members is None else members
         bounds = BoundsCache(self.graph, kcore)
         pn_old = array.p_number_or
-        p_plus = 0.0
-        for op, u, v in ops:
-            p_plus = max(p_plus, pn_old(u, 0.0), pn_old(v, 0.0))
-            if op == "delete":
-                for x in (u, v):
-                    if x in kcore:
-                        p_plus = max(p_plus, bounds.p_tilde(x))
-            elif u in kcore and v in kcore:
-                # max(p_plus, min(a, b)) without b's two-hop scan when
-                # a cannot raise the cap.
-                cap = bounds.p_tilde(u)
-                if cap > p_plus:
-                    p_plus = min(cap, max(p_plus, bounds.p_tilde(v)))
+        p_plus = max(pn_old(u, 0.0), pn_old(v, 0.0))
+        if kind == "delete":
+            for x in (u, v):
+                if x in kcore:
+                    p_plus = max(p_plus, bounds.p_tilde(x))
+        elif u in kcore and v in kcore:
+            # max(p_plus, min(a, b)) without b's two-hop scan when a
+            # cannot raise the cap.
+            cap = bounds.p_tilde(u)
+            if cap > p_plus:
+                p_plus = min(cap, max(p_plus, bounds.p_tilde(v)))
         if members is not None:
             return 0.0, p_plus
-        inside = {x for _, u, v in ops for x in (u, v) if x in kcore}
+        inside = [x for x in (u, v) if x in kcore]
         if not inside:
             return 0.0, p_plus
         p1 = min(array.p_number(x) for x in inside)
         graph = self.graph
         p_minus = p1
         for x in inside:
-            # deg(x, C_{k,p1}(G)) on G_B: the members of pn >= p1.
+            # deg(x, C_{k,p1}(G)) on G': the members of pn >= p1.
             dx = sum(1 for w in graph.neighbors(x) if pn_old(w, -1.0) >= p1)
             if dx < array.k:
                 p_minus = 0.0

@@ -191,8 +191,8 @@ def peel_all_k(
 
     By default peels all of ``1..degeneracy`` (Algorithm 2's parallel
     phase); pass ``ks`` to repair an arbitrary subset — the batched
-    maintenance path (:meth:`KPIndexMaintainer.apply_batch`) fans its
-    membership-churned arrays through here.  Returns
+    maintenance path (:meth:`KPIndexMaintainer.apply_batch`) fans the
+    arrays a multi-op batch reaches through here.  Returns
     ``{k: (order, p_numbers)}`` — byte-identical to running the kernel
     serially for each ``k``.  ``workers`` is clamped to the number
     of tasks; callers guarantee ``workers >= 1`` and that the snapshot's

@@ -61,8 +61,9 @@ DECOMP_SPAN_SORT = "sort_neighbors"
 DECOMP_SPAN_PEEL = "peel_all_k"
 
 # ----------------------------------------------------------------------
-# KP-Index maintenance (repro.core.maintenance) — Algorithms 4/5 as
-# one batch planner: the skip theorems count, the windows are histograms
+# KP-Index maintenance (repro.core.maintenance) — Algorithms 4/5 for a
+# single op, full re-peels for a multi-op batch: the skip theorems count,
+# the windows are histograms
 # ----------------------------------------------------------------------
 MAINT_THM2_SKIPS = "maintenance.thm2.arrays_skipped"
 MAINT_THM6_SKIPS = "maintenance.thm6.arrays_skipped"
@@ -164,9 +165,9 @@ COUNTERS: dict[str, str] = {
     DECOMP_FLAT_RANK_SKIPS: "rank-cursor steps over empty/stale chains",
     DECOMP_PARALLEL_TASKS: "fixed-k peel tasks dispatched to the pool",
     DECOMP_PARALLEL_CHUNKS: "task chunks pulled from the shared pool queue",
-    MAINT_THM2_SKIPS: "A_k skipped per insert: k above both new core numbers",
+    MAINT_THM2_SKIPS: "A_k skipped per single-op insert: k above both new core numbers",
     MAINT_THM6_SKIPS: "A_k skipped: empty [p_-, p_+] window certifies no change (Theorem 6)",
-    MAINT_THM7_SKIPS: "A_k skipped per delete: k above both old core numbers",
+    MAINT_THM7_SKIPS: "A_k skipped per single-op delete: k above both old core numbers",
     MAINT_ARRAYS_EXAMINED: "arrays examined across all updates",
     MAINT_ARRAYS_REPEELED: "arrays actually re-peeled (not skipped)",
     MAINT_VERTICES_REPEELED: "vertices re-peeled across all arrays",
@@ -175,8 +176,8 @@ COUNTERS: dict[str, str] = {
     MAINT_BATCH_UPDATES: "net updates applied through apply_batch",
     MAINT_BATCH_CANCELLED: "insert+delete pairs cancelled by coalescing",
     MAINT_BATCH_ARRAYS: "arrays re-peeled once per batch (windowed + full)",
-    MAINT_BATCH_WINDOW_UNIONS: "arrays apply_batch re-peeled through a [p_-, p_+] window",
-    MAINT_BATCH_FULL_REPEELS: "arrays apply_batch re-peeled in full (churn in a multi-op batch, or FULL_K)",
+    MAINT_BATCH_WINDOW_UNIONS: "arrays apply_batch re-peeled through a [p_-, p_+] window (one-op batches only)",
+    MAINT_BATCH_FULL_REPEELS: "arrays apply_batch re-peeled in full (every reached array of a multi-op batch, or FULL_K)",
     INDEX_QUERIES: "KP-Index queries answered (Algorithm 3)",
     INDEX_EMPTY_QUERIES: "queries whose answer was empty",
     INDEX_VERTICES_TOUCHED: "vertices returned across all queries",

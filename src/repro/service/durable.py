@@ -53,7 +53,7 @@ from repro.graph.adjacency import Graph, Vertex
 from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.core.index import KPIndex
-from repro.core.maintenance import KPIndexMaintainer, MaintenanceMode
+from repro.core.maintenance import KPIndexMaintainer
 from repro.obs import names as metric
 from repro.obs.instrumentation import get_collector
 from repro.service.journal import (
@@ -173,8 +173,6 @@ class DurableMaintainer:
     on_error:
         :class:`ErrorPolicy` (or its string value) for failing updates in
         :meth:`apply`.
-    mode:
-        Forwarded to :class:`~repro.core.maintenance.KPIndexMaintainer`.
     must_exist:
         Refuse to initialize a fresh directory — ``index recover`` uses
         this so a typo'd path errors instead of creating empty state.
@@ -189,7 +187,6 @@ class DurableMaintainer:
         directory: str,
         checkpoint_every: int = CHECKPOINT_EVERY_DEFAULT,
         on_error: ErrorPolicy | str = ErrorPolicy.FAIL,
-        mode: MaintenanceMode = MaintenanceMode.RANGE,
         must_exist: bool = False,
         fault_hook: Callable[[str], None] | None = None,
     ) -> None:
@@ -222,11 +219,7 @@ class DurableMaintainer:
         index: KPIndex | None = None
         if manifest is not None:
             checkpoint_seq, graph, index = self._load_checkpoint(manifest)
-        self.maintainer = KPIndexMaintainer(
-            graph,
-            mode=mode,
-            index=index,
-        )
+        self.maintainer = KPIndexMaintainer(graph, index=index)
         tail = read_journal(journal_path, after_seq=checkpoint_seq)
         replay_skipped = self._replay(tail)
         if has_state:

@@ -9,16 +9,15 @@ import pytest
 from repro.graph.generators import erdos_renyi_gnm
 from repro.core.bounds import (
     BoundsCache,
-    deletion_pair_bound,
     degree_in,
     fraction_in,
-    insertion_support_bound,
     p_hat,
     p_tilde,
     scaled_h_index,
     upper_h_value,
 )
 from repro.core.decomposition import p_numbers_fixed_k
+from repro.core.maintenance import KPIndexMaintainer
 from repro.kcore.compute import k_core_vertices
 from repro.kcore.decomposition import core_decomposition
 
@@ -96,11 +95,43 @@ class TestUpperBoundsAreSound:
             assert cache.p_tilde(w) == p_tilde(cascade_graph, kcore, w)  # noqa: KP002 exact-double oracle
 
 
+def _planner_window(graph, op, k, *, witness_only=False):
+    """The maintenance planner's ``[p_-, p_+]`` for ``op`` on ``A_k``.
+
+    The window is derived the way a single-op update derives it: from the
+    pre-update ``A_k`` on the post-update graph, with the post-update
+    k-core passed only when the membership changed (``witness_only``
+    never passes it, so the ``p_-`` witness rule runs regardless).
+    ``None`` is the Theorem 6 skip.
+    """
+    maintainer = KPIndexMaintainer(graph.copy())
+    array = maintainer.index.array(k)
+    kind, u, v = op
+    after = maintainer.graph
+    if kind == "insert":
+        after.add_edge(u, v)
+    else:
+        after.remove_edge(u, v)
+    core = k_core_vertices(after, k)
+    members = None if witness_only or core == array.vertex_set() else core
+    return maintainer._batch_window(array, op, members)
+
+
+def _assert_prefix_kept(pn_before, pn_after, window, label):
+    """Vertices below ``p_-`` keep their p-numbers (all of them on a skip)."""
+    p_minus = 2.0 if window is None else window[0]
+    for w, old in pn_before.items():
+        if old < p_minus:
+            assert pn_after.get(w) == old, (label, w)
+
+
 class TestLowerBoundsAreSound:
+    """The planner's ``p_-`` witness rule (Thms. 3/5/8, Def. 7, clamped)."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_insertion_bound(self, seed):
-        """After inserting (u,v) with cn(u) < k <= cn(v), the bound must
-        not exceed v's new p-number."""
+        """After inserting (u,v) with cn(u) < k <= cn(v), ``p_-`` must not
+        exceed v's new p-number, and the prefix below it is unchanged."""
         import random
 
         rng = random.Random(seed)
@@ -114,24 +145,26 @@ class TestLowerBoundsAreSound:
             cn_u, cn_v = cd.core_numbers[u], cd.core_numbers[v]
             if cn_u >= cn_v:
                 u, v, cn_u, cn_v = v, u, cn_v, cn_u
-            for k in range(cn_u + 1, cn_v + 1):
+            for k in range(max(2, cn_u + 1), cn_v + 1):
                 pn_before = p_numbers_fixed_k(g, k)
-                if v not in pn_before:
-                    continue
-                p1 = pn_before[v]
-                core_at_p1 = {w for w, x in pn_before.items() if x >= p1}
+                window = _planner_window(g, ("insert", u, v), k)
                 g.add_edge(u, v)
                 try:
-                    bound = insertion_support_bound(g, core_at_p1, v, p1)
-                    pn_after = p_numbers_fixed_k(g, k).get(v, 0.0)
-                    assert bound <= pn_after + 1e-12, (seed, u, v, k)
+                    pn_after = p_numbers_fixed_k(g, k)
+                    if window is not None:
+                        assert window[0] <= pn_after.get(v, 0.0) + 1e-12, (
+                            seed, u, v, k,
+                        )
+                    _assert_prefix_kept(
+                        pn_before, pn_after, window, (seed, u, v, k)
+                    )
                 finally:
                     g.remove_edge(u, v)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_deletion_bound(self, seed):
-        """After deleting (u,v), vertices below the pair bound keep their
-        p-numbers (the Thm. 8 guarantee under the corrected bound)."""
+        """After deleting (u,v), vertices below the planner's ``p_-`` keep
+        their p-numbers (the Thm. 8 guarantee under the corrected bound)."""
         import random
 
         rng = random.Random(100 + seed)
@@ -142,24 +175,21 @@ class TestLowerBoundsAreSound:
             low = min(cd.core_numbers[u], cd.core_numbers[v])
             for k in range(2, low + 1):
                 pn_before = p_numbers_fixed_k(g, k)
-                if u not in pn_before or v not in pn_before:
-                    continue
-                p1 = min(pn_before[u], pn_before[v])
-                core_at_p1 = {w for w, x in pn_before.items() if x >= p1}
+                window = _planner_window(g, ("delete", u, v), k)
                 g.remove_edge(u, v)
                 try:
-                    bound = deletion_pair_bound(g, core_at_p1, u, v, k, p1)
                     pn_after = p_numbers_fixed_k(g, k)
-                    for w, old in pn_before.items():
-                        if old < bound:
-                            assert pn_after.get(w) == old, (seed, u, v, k, w)
+                    _assert_prefix_kept(
+                        pn_before, pn_after, window, (seed, u, v, k)
+                    )
                 finally:
                     g.add_edge(u, v)
 
     def test_deletion_bound_collapsed_witness_is_zero(self, cascade_graph):
-        g = cascade_graph.copy()
-        pn = p_numbers_fixed_k(g, 2)
-        core = {w for w, x in pn.items() if x >= pn[3]}
-        g.remove_edge(3, 5)
-        # vertex 5 keeps only one member-neighbour: witness collapses
-        assert deletion_pair_bound(g, core, 3, 5, 2, pn[3]) == 0.0
+        # Vertex 5 keeps only one member-neighbour once (3, 5) goes, so
+        # the witness C_{2,p1} collapses: the rule itself must give
+        # p_- = 0 even before the membership change is taken into account.
+        window = _planner_window(
+            cascade_graph, ("delete", 3, 5), 2, witness_only=True
+        )
+        assert window is not None and window[0] == 0.0

@@ -134,7 +134,10 @@ class TestVertexDynamics:
                 continue
             seen.add(key)
             insertions.append((u, v))
-        maintainer.apply_updates(insertions=insertions, deletions=deletions)
+        maintainer.apply_batch(
+            [("delete", u, v) for u, v in deletions]
+            + [("insert", u, v) for u, v in insertions]
+        )
         assert_index_exact(maintainer)
 
 

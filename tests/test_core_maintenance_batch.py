@@ -8,11 +8,14 @@ rebuild — while re-peeling each affected ``A_k`` at most once per batch
 and bumping its version exactly once.  Batches of one must be
 *behaviourally identical* to the single-edge path, version bumps
 included, and insert+delete cancellations must leave the index
-byte-identical (no spurious bumps, no ghost vertices).  The window edge
-cases of the batch planner (inserted edges inside the core beside other
-ops on the same vertices, mid-batch membership dips, ties and ``A_1``
-isolation) are soaked against both :meth:`KPIndex.build` and the
-definition-literal :mod:`repro.core.naive` oracle.
+byte-identical (no spurious bumps, no ghost vertices).  Edge cases
+(inserted edges inside the core beside other ops on the same vertices,
+mid-batch membership dips, ties and ``A_1`` isolation) are soaked as one
+multi-op batch (full re-peels of the reached arrays) and as single-edge
+updates (the Algorithm 4/5 windows), against both :meth:`KPIndex.build`
+and the definition-literal :mod:`repro.core.naive` oracle; a multi-op
+batch must do no per-edge core repair and leave arrays above its reach
+untouched.
 """
 
 from __future__ import annotations
@@ -166,14 +169,14 @@ def _batched_and_singles(
 
 
 class TestWindowEdgeCases:
-    """Hypothesis soaks aimed at the batch window rule's edge cases."""
+    """Edge-case soaks, each stream as one batch and as single edges."""
 
     @given(st.integers(0, 10_000), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_core_inserts_sharing_endpoints_with_other_ops(self, seed, pairs):
-        # Inserted edges with both endpoints in a k-core contribute
-        # min(p~(u), p~(v)) to p_+; deletes and outward inserts on the
-        # same endpoints must still be covered by the other ops' caps.
+        # Inserted edges with both endpoints in a k-core, beside deletes
+        # and outward inserts on the same endpoints: one op at a time each
+        # insert inside the core takes min(p~(u), p~(v)) as its p_+.
         rng = random.Random(seed)
         g = erdos_renyi_gnm(11, rng.randint(22, 34), seed=seed)
         cores = CoreMaintainer(g.copy())
@@ -294,6 +297,82 @@ class TestWindowEdgeCases:
             _assert_matches_oracles(maintainer)
             assert not maintainer.index.array(1).contains(lonely)
             assert maintainer.index.array(1).contains(20)
+
+
+def _forbid_core_repair(monkeypatch) -> None:
+    """Make any per-edge core-number repair raise."""
+
+    def repair(self, u, v):
+        raise AssertionError(f"per-edge core repair on ({u}, {v})")
+
+    monkeypatch.setattr(CoreMaintainer, "insert_edge", repair)
+    monkeypatch.setattr(CoreMaintainer, "delete_edge", repair)
+
+
+class TestMultiOpRule:
+    """A multi-op batch re-peels its reached arrays in full, nothing else."""
+
+    def test_reached_arrays_repeel_in_full_from_one_decomposition(
+        self, mode, monkeypatch
+    ):
+        # A 12-clique holds the degeneracy at 11; the batch churns a sparse
+        # random part bridged to it, so its reach stays far below.
+        sparse = erdos_renyi_gnm(30, 75, seed=41)
+        edges = [(100 + a, 100 + b) for a, b in sparse.edges()]
+        edges += list(combinations(range(12), 2)) + [(0, 100), (1, 101)]
+        g = Graph(edges)
+        stream = [
+            (op, 100 + u, 100 + v)
+            for op, u, v in _random_stream(41, 30, 24, sparse)
+        ]
+        ops, _ = coalesce_updates(g, stream)
+        before = CoreMaintainer(g.copy())
+        after_graph = g.copy()
+        for op, u, v in ops:
+            if op == "insert":
+                after_graph.add_edge(u, v)
+            else:
+                after_graph.remove_edge(u, v)
+        after = CoreMaintainer(after_graph)
+        endpoints = {w for _, u, v in ops for w in (u, v)}
+        reach = max(
+            max(before.core_number_or(w), after.core_number(w))
+            for w in endpoints
+        )
+
+        maintainer = KPIndexMaintainer(g, mode=mode)
+        degeneracy = maintainer.index.degeneracy
+        assert 2 <= reach < degeneracy == 11
+        versions = maintainer.index.versions()
+        _forbid_core_repair(monkeypatch)
+        report = maintainer.apply_batch(ops)
+
+        assert report.applied == len(ops)
+        assert report.windowed_repeels == 0
+        assert report.full_repeels == reach - 1
+        assert report.arrays_repeeled == reach - 1
+        bumped = maintainer.index.versions()
+        for k in range(reach + 1, degeneracy + 1):
+            assert bumped.get(k, 0) == versions.get(k, 0), k
+        for k in range(2, reach + 1):
+            assert bumped[k] == versions.get(k, 0) + 1, k
+        assert maintainer.core_number(100) == after.core_number(100)
+        _assert_matches_oracles(maintainer)
+
+    def test_whole_graph_seeding_batch_reaches_the_degeneracy(
+        self, monkeypatch
+    ):
+        g = erdos_renyi_gnm(36, 150, seed=43)
+        degeneracy = CoreMaintainer(g.copy()).degeneracy
+        maintainer = KPIndexMaintainer(Graph())
+        _forbid_core_repair(monkeypatch)
+        report = maintainer.apply_batch(
+            [("insert", u, v) for u, v in g.edges()]
+        )
+        assert report.applied == g.num_edges
+        assert report.full_repeels == degeneracy - 1
+        assert maintainer.index.degeneracy == degeneracy >= 3
+        _assert_matches_oracles(maintainer)
 
 
 class TestSingletonParity:
