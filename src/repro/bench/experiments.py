@@ -307,14 +307,13 @@ def fig12_rows(
 def _decomposition_times(
     graph: Graph,
     with_metrics: bool = False,
-    workers: int = 1,
     repeat: int = 1,
 ) -> tuple[Timing, Timing]:
     t_core = measure(
         lambda: core_numbers_compact(CompactAdjacency(graph)), repeat
     )
     t_kp = measure(
-        lambda: kp_core_decomposition(graph, workers=workers),
+        lambda: kp_core_decomposition(graph),
         repeat,
         capture_metrics=with_metrics,
     )
@@ -355,12 +354,10 @@ def fig13_rows(with_metrics: bool | None = None) -> Rows:
     return headers, rows
 
 
-def fig14_rows(
-    dataset: str = "orkut", workers: Sequence[int] = (1,)
-) -> Rows:
-    """Fig. 14 scalability sweep; ``workers`` grows the figure a pool-size
-    dimension: one row per sample per worker count."""
-    headers = ("sample", "ratio", "vertices", "edges", "workers",
+def fig14_rows(dataset: str = "orkut") -> Rows:
+    """Fig. 14 scalability sweep of the serial decompositions: one row
+    per vertex or edge sample."""
+    headers = ("sample", "ratio", "vertices", "edges",
                "kcoreDecomp_s", "kpCoreDecomp_s")
     graph = load_all()[dataset]
     rows: list[Sequence[object]] = []
@@ -370,13 +367,11 @@ def fig14_rows(
     ):
         for ratio in sample_ratios:
             sampled = sampler(graph, ratio, seed=17)
-            for n_workers in workers:
-                t_core, t_kp = _decomposition_times(sampled, workers=n_workers)
-                rows.append(
-                    (mode, ratio, sampled.num_vertices, sampled.num_edges,
-                     n_workers,
-                     round(t_core.seconds, 4), round(t_kp.seconds, 4))
-                )
+            t_core, t_kp = _decomposition_times(sampled)
+            rows.append(
+                (mode, ratio, sampled.num_vertices, sampled.num_edges,
+                 round(t_core.seconds, 4), round(t_kp.seconds, 4))
+            )
     return headers, rows
 
 

@@ -87,10 +87,6 @@ def _cmd_kpcore(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    if args.k is not None and args.workers != 1:
-        print("error: --workers applies to the full decomposition; "
-              "it cannot be combined with -k", file=sys.stderr)
-        return 2
     graph = _read_graph(args.file)
     if args.k is not None:
         pn = p_numbers_fixed_k(graph, args.k)
@@ -100,9 +96,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         return 0
     from repro.core.decomposition import kp_core_decomposition
 
-    decomposition = kp_core_decomposition(graph, workers=args.workers)
-    print(f"# decomposition: degeneracy={decomposition.degeneracy}, "
-          f"workers={args.workers}")
+    decomposition = kp_core_decomposition(graph)
+    print(f"# decomposition: degeneracy={decomposition.degeneracy}")
     for k in range(1, decomposition.degeneracy + 1):
         fixed = decomposition.arrays[k]
         p_max = max(fixed.p_numbers, default=0.0)
@@ -424,17 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
         "decompose",
         help="p-numbers for a fixed k, or the full decomposition",
         description="With -k, print the p-number of every k-core vertex. "
-        "Without -k, run the full Algorithm 2 decomposition (optionally "
-        "over a process pool) and print a per-k summary.",
+        "Without -k, run the full Algorithm 2 decomposition and print a "
+        "per-k summary.",
     )
     p_dec.add_argument("file")
     p_dec.add_argument(
         "-k", type=int, default=None,
         help="fixed degree threshold (omit for the full decomposition)",
-    )
-    p_dec.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the full decomposition (default: 1)",
     )
     p_dec.set_defaults(func=_cmd_decompose)
 

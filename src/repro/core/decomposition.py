@@ -17,10 +17,10 @@ Implementation notes
   (:func:`repro.core.peel_engines.make_scratch`) that it threads through
   every ``k``, so the ladder is allocated once per decomposition rather
   than once per ``k``.
-* The per-``k`` peels after core-number computation are independent, so
-  ``workers=N`` fans them out over a :mod:`multiprocessing` pool
-  (:mod:`repro.core.parallel`), shipping the frozen snapshot once per
-  worker and merging deterministically.
+* The per-``k`` peels run serially, one after another, in ascending
+  ``k``: at this scale the O(m) constant of one pass decides, and a
+  process pool's start-up and snapshot shipping cost more than the peels
+  it would overlap.
 * Neighbour lists are pre-sorted by descending core number once, so for
   each ``k`` the k-core neighbours of ``v`` are a prefix of its slice
   (:meth:`~repro.graph.compact.CompactAdjacency.rank_prefix_length`).
@@ -101,20 +101,14 @@ class KPDecomposition:
 
 
 @verify_decomposition
-def kp_core_decomposition(graph: Graph, *, workers: int = 1) -> KPDecomposition:
+def kp_core_decomposition(graph: Graph) -> KPDecomposition:
     """Run Algorithm 2: p-numbers of every vertex for every valid ``k``.
-
-    ``workers > 1`` distributes the independent per-``k`` peels over a
-    process pool — output is identical to the serial run for any worker
-    count.
 
     Under ``REPRO_VERIFY=1`` the output is re-checked: arrays sorted in
     deletion order, k-cores nested, p-numbers non-increasing in ``k``.
     Under ``REPRO_OBS`` the run records per-round peel/re-key counters
     and a ``kp_decomposition`` span with per-phase children.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
     with maybe_span(names.DECOMP_SPAN):
         snapshot = CompactAdjacency(graph)
         with maybe_span(names.DECOMP_SPAN_CORE_NUMBERS):
@@ -125,19 +119,10 @@ def kp_core_decomposition(graph: Graph, *, workers: int = 1) -> KPDecomposition:
         degeneracy = max(core, default=0)
         arrays: dict[int, FixedKDecomposition] = {}
         with maybe_span(names.DECOMP_SPAN_PEEL):
-            if workers > 1 and degeneracy > 1:
-                from repro.core.parallel import peel_all_k
-
-                peeled = peel_all_k(snapshot, core, degeneracy, workers=workers)
-            else:
-                peel = ENGINES["flat"]
-                scratch = make_scratch(snapshot, core)
-                peeled = {
-                    k: peel(snapshot, core, k, scratch=scratch)
-                    for k in range(1, degeneracy + 1)
-                }
+            peel = ENGINES["flat"]
+            scratch = make_scratch(snapshot, core)
             for k in range(1, degeneracy + 1):
-                order, p_numbers = peeled[k]
+                order, p_numbers = peel(snapshot, core, k, scratch=scratch)
                 arrays[k] = FixedKDecomposition(
                     k=k,
                     order=[labels[v] for v in order],

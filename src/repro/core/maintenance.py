@@ -26,10 +26,10 @@ edge cancel), and the number of net ops picks one of two rules.
 graph, core numbers come from one linear decomposition of the post-batch
 graph, and ``A_2 .. A_reach`` are re-peeled from scratch through one
 shared :class:`~repro.graph.compact.CompactAdjacency` snapshot and the
-Algorithm 2 kernel (optionally fanned across the ``repro.core.parallel``
-worker pool).  ``reach`` is the largest old or new core number of a batch
-endpoint: Theorems 2/7 for a batch — if no endpoint lies in ``C_k``
-before or after, ``C_k`` and ``A_k`` are unchanged.
+Algorithm 2 kernel, serially with one reused scratch.  ``reach`` is the
+largest old or new core number of a batch endpoint: Theorems 2/7 for a
+batch — if no endpoint lies in ``C_k`` before or after, ``C_k`` and
+``A_k`` are unchanged.
 
 Each touched array bumps its version once per batch, which is what lets
 the serving cache invalidate once instead of once per edge (see
@@ -71,7 +71,6 @@ from repro.obs import names as metric
 from repro.obs.instrumentation import Instrumentation, get_collector, maybe_span
 from repro.core.bounds import BoundsCache
 from repro.core.index import KArray, KPIndex
-from repro.core.parallel import peel_all_k
 from repro.core.peel_engines import ENGINES, make_scratch
 from repro.core.peel_flat import peel_residual
 from repro.core.pvalue import fraction_value
@@ -290,7 +289,7 @@ class KPIndexMaintainer:
             hook(op, u, v)
         with maybe_span(span):
             ops, _ = coalesce_updates(self.graph, ((op, u, v),))
-            self._apply_batch_impl(ops, workers=1)
+            self._apply_batch_impl(ops)
 
     # ------------------------------------------------------------------
     # vertex dynamics (Sec. VI preamble): reduce to edge updates
@@ -308,25 +307,20 @@ class KPIndexMaintainer:
             self.insert_edge(v, w)
 
     def delete_vertex(self, v: Vertex) -> None:
-        """Delete ``v`` by removing its incident edges one at a time."""
+        """Delete ``v`` by removing its incident edges one at a time.
+
+        The last :meth:`delete_edge` leaves ``v`` isolated, which already
+        drops it from ``A_1`` (:meth:`_update_a1_after_batch`).
+        """
         for w in list(self.graph.neighbors(v)):
             self.delete_edge(v, w)
         self._cores.delete_vertex(v)
-        array = self.index.arrays().get(1)
-        if array is not None and array.contains(v):
-            array.vertices = [w for w in array.vertices if w != v]
-            array.p_numbers = [1.0] * len(array.vertices)
-            array._rebuild_levels()
-            self.index.bump_version(1)
 
     # ------------------------------------------------------------------
     # batched maintenance: one re-peel per affected A_k
     # ------------------------------------------------------------------
     def apply_batch(
-        self,
-        updates: Iterable[tuple[str, Vertex, Vertex]],
-        *,
-        workers: int = 1,
+        self, updates: Iterable[tuple[str, Vertex, Vertex]]
     ) -> BatchReport:
         """Apply a mixed batch of ``(op, u, v)`` updates, coalesced.
 
@@ -337,14 +331,11 @@ class KPIndexMaintainer:
         Algorithm 4/5 (windowed re-peels, the Theorem 6 skip); more than
         one applies every op to the graph, takes core numbers from one
         decomposition of the result and re-peels ``A_2 .. A_reach`` in
-        full through one shared :class:`CompactAdjacency` snapshot
-        (``workers > 1`` fans those across the process pool) — see the
-        module docstring.  Each touched array re-peels at most **once**
-        and bumps its version once per batch, so serving caches
+        full through one shared :class:`CompactAdjacency` snapshot — see
+        the module docstring.  Each touched array re-peels at most
+        **once** and bumps its version once per batch, so serving caches
         invalidate once instead of once per edge.
         """
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
         ops, cancelled = coalesce_updates(self.graph, updates)
         self.stats.batches += 1
         self.stats.batch_cancelled_pairs += cancelled
@@ -359,7 +350,7 @@ class KPIndexMaintainer:
             hook(ops)
         before_updated = self.stats.arrays_updated
         with maybe_span(metric.MAINT_SPAN_BATCH):
-            windowed, full = self._apply_batch_impl(ops, workers)
+            windowed, full = self._apply_batch_impl(ops)
         if obs is not None:
             obs.add(metric.MAINT_BATCH_WINDOW_UNIONS, windowed)
             obs.add(metric.MAINT_BATCH_FULL_REPEELS, full)
@@ -376,13 +367,11 @@ class KPIndexMaintainer:
         )
 
     def _apply_batch_impl(
-        self,
-        ops: Sequence[tuple[str, Vertex, Vertex]],
-        workers: int,
+        self, ops: Sequence[tuple[str, Vertex, Vertex]]
     ) -> tuple[int, int]:
         """Apply coalesced ``ops``; returns (windowed, full) re-peel counts."""
         if len(ops) > 1:
-            return 0, self._repeel_reached_arrays(ops, workers)
+            return 0, self._repeel_reached_arrays(ops)
         entry = ops[0]
         op, u, v = entry
         obs = get_collector()
@@ -445,11 +434,11 @@ class KPIndexMaintainer:
             self._repeel_and_splice(array, members, p_minus, p_plus)
             windowed += 1
         if full_ks:
-            self._repeel_full_arrays(full_ks, workers)
+            self._repeel_full_arrays(full_ks)
         return windowed, len(full_ks)
 
     def _repeel_reached_arrays(
-        self, ops: Sequence[tuple[str, Vertex, Vertex]], workers: int
+        self, ops: Sequence[tuple[str, Vertex, Vertex]]
     ) -> int:
         """Apply a multi-op batch and re-peel every reached ``A_k`` in full.
 
@@ -486,7 +475,7 @@ class KPIndexMaintainer:
             obs.add(metric.MAINT_ARRAYS_EXAMINED, len(ks))
         for k in ks:
             self._ensure_array(k)
-        self._repeel_full_arrays(ks, workers)
+        self._repeel_full_arrays(ks)
         return len(ks)
 
     def _batch_window(
@@ -558,49 +547,45 @@ class KPIndexMaintainer:
             return None
         return p_minus, p_plus
 
-    def _repeel_full_arrays(self, ks: Sequence[int], workers: int) -> None:
+    def _repeel_full_arrays(self, ks: Sequence[int]) -> None:
         """Re-peel each ``A_k`` in ``ks`` from scratch with the peel kernel.
 
         One :class:`CompactAdjacency` snapshot of the live graph is built
-        per batch and shared by every array (and, with ``workers > 1``,
-        shipped once per worker through the pool initializer), so the
-        per-array marginal cost is the kernel peel itself — the same
-        kernel Algorithm 2 runs, scratch reused across the ks.
+        per batch and shared by every array, so the per-array marginal
+        cost is the kernel peel itself — the same kernel Algorithm 2
+        runs, scratch reused across the ks.
         """
         obs = get_collector()
         snapshot = CompactAdjacency(self.graph)
         cn = self._cores.core_numbers()
         core = [cn.get(label, 0) for label in snapshot.labels]
         snapshot.sort_neighbors_by_rank_desc(core)
-        if workers > 1 and len(ks) > 1:
-            peeled = peel_all_k(
-                snapshot,
-                core,
-                max(ks),
-                workers=workers,
-                ks=ks,
-            )
-        else:
-            peel = ENGINES["flat"]
-            scratch = make_scratch(snapshot, core)
-            peeled = {k: peel(snapshot, core, k, scratch=scratch) for k in ks}
+        peel = ENGINES["flat"]
+        scratch = make_scratch(snapshot, core)
         labels = snapshot.labels
         arrays = self.index.arrays()
         for k in ks:
-            order, p_numbers = peeled[k]
+            order, p_numbers = peel(snapshot, core, k, scratch=scratch)
             array = arrays[k]
-            # Bump before touching the array — the same discipline as
-            # _repeel_and_splice: a conservative bump only costs cache
-            # entries, it can never let a stale answer survive.
-            self.index.bump_version(k)
-            array.vertices = [labels[i] for i in order]
-            array.p_numbers = list(p_numbers)
-            array._rebuild_levels()
+            vertices = [labels[i] for i in order]
             self.stats.arrays_updated += 1
             self.stats.vertices_repeeled += len(order)
             if obs is not None:
                 obs.inc(metric.MAINT_ARRAYS_REPEELED)
                 obs.add(metric.MAINT_VERTICES_REPEELED, len(order))
+                obs.add(
+                    metric.MAINT_PNUMBERS_CHANGED,
+                    self._pnumbers_changed(
+                        array, len(array), vertices, p_numbers
+                    ),
+                )
+            # Bump before touching the array — the same discipline as
+            # _repeel_and_splice: a conservative bump only costs cache
+            # entries, it can never let a stale answer survive.
+            self.index.bump_version(k)
+            array.vertices = vertices
+            array.p_numbers = list(p_numbers)
+            array._rebuild_levels()
 
     def _update_a1_after_batch(
         self, ops: Sequence[tuple[str, Vertex, Vertex]]
@@ -650,6 +635,34 @@ class KPIndexMaintainer:
         obs.observe(metric.MAINT_WINDOW_P_MINUS, p_minus)
         obs.observe(metric.MAINT_WINDOW_P_PLUS, p_plus)
         obs.observe(metric.MAINT_WINDOW_WIDTH, p_plus - p_minus)
+
+    @staticmethod
+    def _pnumbers_changed(
+        array: KArray,
+        scope: int,
+        vertices: Sequence[Vertex],
+        p_numbers: Sequence[float],
+    ) -> int:
+        """How many ``A_k`` entries a re-peel changes, read before the write.
+
+        ``vertices`` / ``p_numbers`` are the re-peeled entries and
+        ``scope`` the number of old entries they replace.  An entry counts
+        when its p-number differs, when it joined ``A_k`` and when it
+        left (the old entries in scope that were not re-peeled).
+        """
+        pn_old = array.p_number_or
+        stayed = changed = 0
+        for w, pn in zip(vertices, p_numbers):
+            old = pn_old(w, -1.0)
+            if old < 0.0:
+                changed += 1
+                continue
+            stayed += 1
+            # Both sides are fraction_value doubles: equal p-numbers are
+            # equal doubles (repro.core.pvalue).
+            if old != pn:  # noqa: KP002
+                changed += 1
+        return changed + scope - stayed
 
     def _ensure_array(self, k: int) -> KArray:
         arrays = self.index.arrays()
@@ -722,6 +735,14 @@ class KPIndexMaintainer:
         if obs is not None:
             obs.inc(metric.MAINT_ARRAYS_REPEELED)
             obs.add(metric.MAINT_VERTICES_REPEELED, len(order))
+            # The re-peel replaces the old pn >= p_- suffix minus the tail.
+            scope = len(array) - bisect_left(array.p_numbers, p_minus)
+            obs.add(
+                metric.MAINT_PNUMBERS_CHANGED,
+                self._pnumbers_changed(
+                    array, scope - len(tail), order, p_numbers
+                ),
+            )
             if stopped:
                 obs.inc(metric.MAINT_EARLY_STOPS)
         array.replace_segment(

@@ -1,7 +1,7 @@
 """Where Algorithm 2's callers look up the peel kernel and its scratch.
 
-The decomposition, the parallel workers and the batched full-array
-re-peel resolve the kernel through :data:`ENGINES` at call time and
+The decomposition and the batched full-array re-peel — two serial loops
+over ``k`` — resolve the kernel through :data:`ENGINES` at call time and
 build its cross-``k`` scratch through :func:`make_scratch`, so
 the per-layer profiler in ``perfbench/`` can wrap both names from
 outside and time the drain (``core.peel_s``) apart from the scratch

@@ -6,7 +6,7 @@ vertex's p-number — so both run on one drain:
 
 * :func:`peel_fixed_k_flat` peels a whole k-core of a frozen
   :class:`~repro.graph.compact.CompactAdjacency` snapshot (full
-  decomposition, the parallel workers, batched full-array re-peels);
+  decomposition, batched full-array re-peels);
 * :func:`peel_residual` peels the window residual of one ``A_k`` on the
   live :class:`~repro.graph.adjacency.Graph` (the maintenance splice),
   with the Theorem 4/9 early stop.

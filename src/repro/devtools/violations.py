@@ -74,7 +74,7 @@ RULE_CODES: dict[str, str] = {
     ),
     "KP011": (
         "process-boundary safety: lambdas, closures, locks, or open "
-        "handles must not cross into the repro.core.parallel worker pool"
+        "handles must not cross into a worker pool"
     ),
     "KP012": (
         "no blocking I/O (open/fsync/sleep/journal writes) while holding "

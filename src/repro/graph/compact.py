@@ -5,9 +5,8 @@ peeling algorithms that touch every edge a small number of times.  Running
 them over Python dict-of-set adjacency is dominated by hashing; this module
 freezes a graph into flat typed arrays (a CSR layout) with vertices
 renumbered to ``0..n-1`` so the inner loops become array indexing.  The
-:mod:`array` storage also makes the snapshot cheap to pickle — 4 bytes per
-edge endpoint instead of a PyObject pointer per list slot — which is what
-lets :mod:`repro.core.parallel` ship one copy to each worker process.
+:mod:`array` storage also keeps the snapshot small: 4 bytes per edge
+endpoint instead of a PyObject pointer per list slot.
 
 The snapshot can additionally sort each neighbour list by *descending core
 number*.  Then, for any ``k``, the neighbours of ``v`` inside the k-core
@@ -59,31 +58,6 @@ class CompactAdjacency:
         self.indices: array[int] = array("i", indices)
         self.labels: list[Vertex] = order
         self._index_of = index_of
-
-    @classmethod
-    def from_csr(
-        cls,
-        indptr: array[int],
-        indices: array[int],
-        labels: list[Vertex],
-    ) -> CompactAdjacency:
-        """Rebuild a snapshot from its CSR parts (the unpickling path).
-
-        The label-to-id map is re-derived rather than serialized: it is the
-        largest per-object structure in the snapshot and pure function of
-        ``labels``.
-        """
-        self = cls.__new__(cls)
-        self.indptr = indptr
-        self.indices = indices
-        self.labels = labels
-        self._index_of = {v: i for i, v in enumerate(labels)}
-        return self
-
-    def __reduce__(
-        self,
-    ) -> tuple[object, tuple[array[int], array[int], list[Vertex]]]:
-        return _rebuild, (self.indptr, self.indices, self.labels)
 
     # ------------------------------------------------------------------
     @property
@@ -165,9 +139,3 @@ class CompactAdjacency:
     def __repr__(self) -> str:
         return f"CompactAdjacency(n={self.num_vertices}, m={self.num_edges})"
 
-
-def _rebuild(
-    indptr: array[int], indices: array[int], labels: list[Vertex]
-) -> CompactAdjacency:
-    """Module-level unpickling hook for :meth:`CompactAdjacency.__reduce__`."""
-    return CompactAdjacency.from_csr(indptr, indices, labels)

@@ -10,8 +10,7 @@ collects exactly those quantities:
   process-wide switch (``REPRO_OBS=1`` or :func:`collecting`): counters,
   histograms, and spans that feed both per-path aggregates and a
   bounded ring buffer of attributed trace events (trace IDs, parent
-  links, per-thread nesting, cross-process propagation for the worker
-  pool),
+  links, per-thread nesting),
 * :mod:`repro.obs.names` — the documented metric and span catalog,
 * :mod:`repro.obs.snapshot` — immutable, JSON-round-trippable exports,
 * :mod:`repro.obs.report` — aligned-table rendering,

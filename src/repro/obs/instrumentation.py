@@ -38,15 +38,11 @@ Design constraints:
   entries (default :data:`DEFAULT_BUFFER_SIZE`); the oldest are dropped
   and :attr:`Instrumentation.dropped` says how many.
 
-Cross-process propagation: :meth:`Instrumentation.context` captures the
-innermost open span, a worker process builds
-``Instrumentation(context=ctx)`` so its spans parent (and path-nest)
-under it, ships :meth:`~Instrumentation.payload` back, and the parent
-folds it in with :meth:`~Instrumentation.merge` — see
-:mod:`repro.core.parallel`.  Timestamps are wall-clock anchored
-(``time.time`` at collector creation plus ``time.perf_counter``
-deltas), so events merged from several processes order sensibly on one
-timeline.
+Collection is per process: everything the library runs, the peels
+included, runs in the calling process, so one collector sees it all.
+Timestamps are wall-clock anchored (``time.time`` at collector creation
+plus ``time.perf_counter`` deltas), so exported traces line up with
+other wall-clock logs.
 """
 
 from __future__ import annotations
@@ -86,11 +82,10 @@ DEFAULT_BUFFER_SIZE = 65536
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 #: Span/trace id counter shared by every collector of this process, so
-#: the per-chunk collectors of one pool worker never reuse an id.
+#: two collectors never hand out the same id.
 _ids = itertools.count(1)
 
-#: A span-stack frame: ``(trace_id, span_id, path)``; the same triple is
-#: the cross-process context a worker collector parents under.
+#: A span-stack frame: ``(trace_id, span_id, path)``.
 Frame = tuple[str, str | None, str]
 
 
@@ -104,8 +99,7 @@ class TraceEvent:
     ``ts`` is wall-clock seconds (epoch), ``dur`` is seconds.  ``attrs``
     carries the span attributes (``k``, ``p``, ``cache_hit``, ...);
     ``parent_id`` is ``None`` for trace roots.  IDs are strings of the
-    form ``pid.counter`` so events merged across processes never
-    collide.
+    form ``pid.counter``.
     """
 
     __slots__ = (
@@ -146,7 +140,7 @@ class TraceEvent:
         self.attrs = attrs
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly form (and the pickle shipped across the pool)."""
+        """JSON-friendly form (what the JSONL trace export writes)."""
         return {
             "name": self.name,
             "trace_id": self.trace_id,
@@ -249,10 +243,7 @@ class Instrumentation:
     """One registry of counters, histograms, spans and trace events.
 
     Cheap to create: a fresh collector per measured region (see
-    :func:`collecting`) keeps attribution simple.  A collector created
-    with ``context=`` (see :meth:`context`) parents its root spans under
-    that foreign span instead of opening fresh traces — the
-    worker-process half of cross-process propagation.
+    :func:`collecting`) keeps attribution simple.
     """
 
     __slots__ = (
@@ -263,18 +254,13 @@ class Instrumentation:
         "_events",
         "_recorded",
         "_local",
-        "_context",
         "_pid",
         "_anchor_wall",
         "_anchor_perf",
         "buffer_size",
     )
 
-    def __init__(
-        self,
-        buffer_size: int = DEFAULT_BUFFER_SIZE,
-        context: Frame | None = None,
-    ) -> None:
+    def __init__(self, buffer_size: int = DEFAULT_BUFFER_SIZE) -> None:
         if buffer_size < 1:
             raise ParameterError(
                 f"event buffer size must be >= 1, got {buffer_size}"
@@ -289,7 +275,6 @@ class Instrumentation:
         self._events: deque[TraceEvent] = deque(maxlen=buffer_size)
         self._recorded = 0
         self._local = threading.local()
-        self._context = context
         self._pid = os.getpid()
         self._anchor_wall = time.time()
         self._anchor_perf = time.perf_counter()
@@ -340,8 +325,6 @@ class Instrumentation:
         starting now on this thread."""
         if stack:
             return stack[-1]
-        if self._context is not None:
-            return self._context
         return f"t{self._pid:x}.{next(_ids):x}", None, ""
 
     def _new_id(self) -> str:
@@ -418,67 +401,6 @@ class Instrumentation:
     def dropped(self) -> int:
         """Events pushed out of the ring buffer by newer ones."""
         return self._recorded - len(self._events)
-
-    # ------------------------------------------------------------------
-    # cross-process propagation
-    # ------------------------------------------------------------------
-    def context(self) -> Frame:
-        """``(trace_id, span_id, path)`` of this thread's innermost open
-        span.
-
-        Ship it to a worker process and build
-        ``Instrumentation(context=ctx)`` there; the worker's root spans
-        then join this trace as children of the captured span, and their
-        aggregate paths nest under its path.
-        """
-        return self._frame(self._stack())
-
-    def payload(self) -> dict[str, Any]:
-        """Everything collected, as plain picklable data — what a pool
-        worker ships home for :meth:`merge`."""
-        return {
-            "metrics": self.snapshot().to_dict(),
-            "events": [event.to_dict() for event in self._events],
-            "recorded": self._recorded,
-        }
-
-    def merge(self, payload: Mapping[str, Any]) -> None:
-        """Fold a :meth:`payload` (typically from a worker process) in.
-
-        Counters add, histograms fold count/total/min/max, span paths
-        add count/seconds, and the events join this ring buffer.  This
-        is how worker-process collection rejoins the parent after a
-        :mod:`repro.core.parallel` run.
-        """
-        snapshot = MetricsSnapshot.from_dict(payload["metrics"])
-        for name, value in snapshot.counters.items():
-            self.inc(name, value)
-        for name, summary in snapshot.histograms.items():
-            hist = self._hists.get(name)
-            if hist is None:
-                self._hists[name] = [
-                    summary.count,
-                    summary.total,
-                    summary.minimum,
-                    summary.maximum,
-                ]
-                continue
-            hist[0] += summary.count
-            hist[1] += summary.total
-            if summary.minimum < hist[2]:
-                hist[2] = summary.minimum
-            if summary.maximum > hist[3]:
-                hist[3] = summary.maximum
-        with self._lock:
-            for path, span_summary in snapshot.spans.items():
-                span = self._spans.get(path)
-                if span is None:
-                    self._spans[path] = [span_summary.count, span_summary.seconds]
-                else:
-                    span[0] += span_summary.count
-                    span[1] += span_summary.seconds
-            self._recorded += int(payload["recorded"])
-        self._events.extend(TraceEvent.from_dict(e) for e in payload["events"])
 
     # ------------------------------------------------------------------
     # export / lifecycle

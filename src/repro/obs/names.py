@@ -51,9 +51,6 @@ DECOMP_REKEYS = "decomp.threshold_recomputations"
 DECOMP_FLAT_MOVES = "decomp.flat.moves"
 DECOMP_FLAT_RANK_SKIPS = "decomp.flat.rank_skips"
 DECOMP_FLAT_LEVELS = "decomp.flat.levels"
-DECOMP_PARALLEL_TASKS = "decomp.parallel.tasks"
-DECOMP_PARALLEL_CHUNKS = "decomp.parallel.chunks"
-DECOMP_PARALLEL_WORKERS = "decomp.parallel.tasks_per_worker"
 DECOMP_ARRAY_SIZE = "decomp.array_size"
 DECOMP_SPAN = "kp_decomposition"
 DECOMP_SPAN_CORE_NUMBERS = "core_numbers"
@@ -71,6 +68,7 @@ MAINT_THM7_SKIPS = "maintenance.thm7.arrays_skipped"
 MAINT_ARRAYS_EXAMINED = "maintenance.arrays_examined"
 MAINT_ARRAYS_REPEELED = "maintenance.arrays_repeeled"
 MAINT_VERTICES_REPEELED = "maintenance.vertices_repeeled"
+MAINT_PNUMBERS_CHANGED = "maintenance.pnumbers_changed"
 MAINT_EARLY_STOPS = "maintenance.early_stops"
 MAINT_WINDOW_WIDTH = "maintenance.window_width"
 MAINT_WINDOW_P_MINUS = "maintenance.window_p_minus"
@@ -163,14 +161,13 @@ COUNTERS: dict[str, str] = {
     DECOMP_FLAT_MOVES: "vertex re-parks into a lower rank chain "
     "(batched to one park per vertex per round)",
     DECOMP_FLAT_RANK_SKIPS: "rank-cursor steps over empty/stale chains",
-    DECOMP_PARALLEL_TASKS: "fixed-k peel tasks dispatched to the pool",
-    DECOMP_PARALLEL_CHUNKS: "task chunks pulled from the shared pool queue",
     MAINT_THM2_SKIPS: "A_k skipped per single-op insert: k above both new core numbers",
     MAINT_THM6_SKIPS: "A_k skipped: empty [p_-, p_+] window certifies no change (Theorem 6)",
     MAINT_THM7_SKIPS: "A_k skipped per single-op delete: k above both old core numbers",
     MAINT_ARRAYS_EXAMINED: "arrays examined across all updates",
     MAINT_ARRAYS_REPEELED: "arrays actually re-peeled (not skipped)",
     MAINT_VERTICES_REPEELED: "vertices re-peeled across all arrays",
+    MAINT_PNUMBERS_CHANGED: "A_k entries whose p-number a re-peel changed (joins and leaves included)",
     MAINT_EARLY_STOPS: "re-peels stopped early at p_+ (Thms. 4/9)",
     MAINT_BATCH_BATCHES: "apply_batch calls (one coalesced batch each)",
     MAINT_BATCH_UPDATES: "net updates applied through apply_batch",
@@ -199,7 +196,6 @@ COUNTERS: dict[str, str] = {
 HISTOGRAMS: dict[str, str] = {
     DECOMP_ARRAY_SIZE: "per-k array size |V_k| built by Algorithm 2",
     DECOMP_FLAT_LEVELS: "distinct fraction levels in the global flat ladder",
-    DECOMP_PARALLEL_WORKERS: "peel tasks completed per pool worker",
     MAINT_WINDOW_WIDTH: "recomputed p-number window widths p_+ - p_-",
     MAINT_WINDOW_P_MINUS: "window lower ends p_- (Defs. 5-7 bounds)",
     MAINT_WINDOW_P_PLUS: "window upper ends p_+ (Defs. 5-7 bounds)",
@@ -236,7 +232,7 @@ SPANS: dict[str, str] = {
     TRACE_CACHE_FILL: "QueryCache insert of a freshly computed answer",
     TRACE_CACHE_PURGE: "QueryCache invalidation of changed-version entries",
     TRACE_QUERY_ANSWER: "Algorithm 3 answer build on a cache miss",
-    TRACE_PEEL_FIXED_K: "one fixed-k peel (per worker when parallel)",
+    TRACE_PEEL_FIXED_K: "one fixed-k peel",
 }
 
 

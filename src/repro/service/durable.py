@@ -329,12 +329,7 @@ class DurableMaintainer:
             applied=applied, skipped=skipped, checkpoints=checkpoints
         )
 
-    def apply_batch(
-        self,
-        updates: Iterable[UpdateOp],
-        *,
-        workers: int = 1,
-    ) -> ApplyReport:
+    def apply_batch(self, updates: Iterable[UpdateOp]) -> ApplyReport:
         """Apply a coalesced batch: one journal record, one fsync, one
         checkpoint decision.
 
@@ -354,7 +349,7 @@ class DurableMaintainer:
         applied = skipped = checkpoints = 0
         try:
             try:
-                report = self.maintainer.apply_batch(ops, workers=workers)
+                report = self.maintainer.apply_batch(ops)
             except GraphError:
                 self.stats.skipped += len(ops)
                 skipped = len(ops)

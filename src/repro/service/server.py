@@ -639,12 +639,7 @@ class KPCoreServer:
                 finally:
                     self._purge_changed(before)
 
-    def apply_batch(
-        self,
-        updates: Iterable[UpdateOp],
-        *,
-        workers: int = 1,
-    ) -> ApplyReport:
+    def apply_batch(self, updates: Iterable[UpdateOp]) -> ApplyReport:
         """Apply a coalesced batch under one write-lock hold.
 
         Delegates to :meth:`DurableMaintainer.apply_batch` — one journal
@@ -663,9 +658,7 @@ class KPCoreServer:
                     # Same WAL ordering argument as apply(): the batch
                     # journal record + fsync must stay inside the
                     # exclusive section.  noqa KP012: blocking by design.
-                    return self._durable.apply_batch(  # noqa: KP012 WAL ordering
-                        updates, workers=workers
-                    )
+                    return self._durable.apply_batch(updates)  # noqa: KP012 WAL ordering
                 finally:
                     self._purge_changed(before)
 

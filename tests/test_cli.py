@@ -55,18 +55,6 @@ class TestDecompose:
         assert "degeneracy=" in out
         assert "k=1\t" in out
 
-    def test_parallel_full_decomposition(self, edge_list_file, capsys):
-        assert main(["decompose", edge_list_file]) == 0
-        serial_out = capsys.readouterr().out.replace("workers=1", "workers=2")
-        assert main(["decompose", edge_list_file, "--workers", "2"]) == 0
-        assert capsys.readouterr().out == serial_out
-
-    def test_workers_with_fixed_k_rejected(self, edge_list_file, capsys):
-        assert main(
-            ["decompose", edge_list_file, "-k", "2", "--workers", "2"]
-        ) == 2
-        assert "error" in capsys.readouterr().err
-
 
 class TestIndexCommands:
     def test_build_then_query_round_trip(self, edge_list_file, tmp_path, capsys):

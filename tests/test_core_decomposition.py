@@ -89,6 +89,23 @@ class TestFullDecomposition:
                 expected = {v for v, value in pn.items() if value >= level}
                 assert kp_core_vertices(g, k, level) == expected
 
+    def test_p_number_lookup_matches_arrays(self):
+        g = erdos_renyi_gnm(30, 120, seed=9)
+        decomposition = kp_core_decomposition(g)
+        for k, fixed in decomposition.arrays.items():
+            for v, pn in zip(fixed.order, fixed.p_numbers):
+                assert decomposition.p_number(v, k) == pn  # noqa: KP002 exact-double oracle
+
+    def test_string_labels_match_integer_labels(self):
+        g = erdos_renyi_gnm(25, 90, seed=4)
+        relabelled = Graph((f"v{u}", f"v{w}") for u, w in g.edges())
+        by_int = kp_core_decomposition(g)
+        by_str = kp_core_decomposition(relabelled)
+        assert by_str.degeneracy == by_int.degeneracy
+        for k, fixed in by_int.arrays.items():
+            relabelled_pn = {f"v{v}": pn for v, pn in fixed.pn_map().items()}
+            assert by_str.arrays[k].pn_map() == relabelled_pn  # noqa: KP002 exact-double oracle
+
     def test_p_number_accessor(self, triangle):
         decomposition = kp_core_decomposition(triangle)
         assert decomposition.p_number(0, 2) == 1.0  # noqa: KP002 exact-double oracle

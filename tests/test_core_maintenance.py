@@ -408,3 +408,110 @@ class TestWorkGuard:
         stats = maintainer.stats
         assert stats.vertices_repeeled <= self.PARENT_VERTICES_REPEELED
         assert stats.arrays_updated <= self.PARENT_ARRAYS_UPDATED
+
+
+class TestPnumbersChanged:
+    """``maintenance.pnumbers_changed`` is the exact per-update change set.
+
+    Every update's counter delta must equal the diff of the per-k
+    p-number maps (``k >= 2``: ``A_1`` is never re-peeled) before and
+    after it, joins and leaves included.  Every changed entry that is
+    still in ``A_k`` was re-peeled, so the counter less the leavers never
+    exceeds ``vertices_repeeled``.
+    """
+
+    @staticmethod
+    def _pn_maps(index: KPIndex) -> dict[int, dict]:
+        return {
+            k: array.pn_map() for k, array in index.arrays().items() if k >= 2
+        }
+
+    @staticmethod
+    def _diff(old: dict[int, dict], new: dict[int, dict]) -> tuple[int, int]:
+        """(changed entries, leavers) between two per-k p-number maps."""
+        changed = leavers = 0
+        for k in old.keys() | new.keys():
+            before, after = old.get(k, {}), new.get(k, {})
+            leavers += len(before.keys() - after.keys())
+            changed += sum(
+                1
+                for v in before.keys() | after.keys()
+                if before.get(v) != after.get(v)  # noqa: KP002 exact-double oracle
+            )
+        return changed, leavers
+
+    def test_equals_pn_map_diff(self, mode):
+        from repro.obs import collecting, names
+
+        n = 40
+        rng = random.Random(7)
+        maintainer = KPIndexMaintainer(
+            erdos_renyi_gnm(n, 150, seed=7), mode=mode
+        )
+        counted_total = repeeled_total = batches = 0
+        with collecting() as obs:
+            for step in range(50):
+                edges = sorted(maintainer.graph.edges())
+                deletes = [edges[i] for i in rng.sample(range(len(edges)), 2)]
+                inserts = []
+                while len(inserts) < 2:
+                    u, v = rng.randrange(n), rng.randrange(n)
+                    if u != v and not maintainer.graph.has_edge(u, v) and (
+                        (u, v) not in inserts and (v, u) not in inserts
+                    ):
+                        inserts.append((u, v))
+                before = self._pn_maps(maintainer.index)
+                counted = obs.counter(names.MAINT_PNUMBERS_CHANGED)
+                repeeled = obs.counter(names.MAINT_VERTICES_REPEELED)
+                if step % 3 == 0:
+                    maintainer.delete_edge(*deletes[0])
+                elif step % 3 == 1:
+                    maintainer.insert_edge(*inserts[0])
+                else:
+                    batches += 1
+                    maintainer.apply_batch(
+                        [("delete", u, v) for u, v in deletes]
+                        + [("insert", u, v) for u, v in inserts]
+                    )
+                counted = obs.counter(names.MAINT_PNUMBERS_CHANGED) - counted
+                repeeled = obs.counter(names.MAINT_VERTICES_REPEELED) - repeeled
+                changed, leavers = self._diff(
+                    before, self._pn_maps(maintainer.index)
+                )
+                assert counted == changed, step
+                assert counted - leavers <= repeeled, step
+                counted_total += counted
+                repeeled_total += repeeled
+        assert batches > 0 and counted_total > 0
+        assert counted_total <= repeeled_total
+        assert_index_exact(maintainer)
+
+    #: Two updates whose re-peel stops early at p_+ and keeps a tail
+    #: (one inserts with new A_2 members, one deletes without).
+    EARLY_STOPS = {
+        "insert": (
+            [(0, 7), (1, 7), (2, 5), (3, 8), (4, 5), (4, 6), (4, 7), (4, 9),
+             (5, 6), (6, 8), (6, 9), (7, 8)],
+            (2, 7),
+        ),
+        "delete": (
+            [(0, 5), (0, 7), (1, 3), (1, 5), (1, 6), (1, 7), (2, 7), (2, 8),
+             (2, 9), (3, 5), (3, 6), (4, 6), (4, 7), (5, 6), (5, 7), (5, 8),
+             (6, 7), (7, 8), (7, 9)],
+            (0, 7),
+        ),
+    }
+
+    @pytest.mark.parametrize("op", sorted(EARLY_STOPS))
+    def test_early_stop_tail_is_unchanged(self, op):
+        from repro.obs import collecting, names
+
+        edges, (u, v) = self.EARLY_STOPS[op]
+        maintainer = KPIndexMaintainer(Graph(edges))
+        before = self._pn_maps(maintainer.index)
+        with collecting() as obs:
+            getattr(maintainer, f"{op}_edge")(u, v)
+        assert obs.counter(names.MAINT_EARLY_STOPS) >= 1
+        changed, _ = self._diff(before, self._pn_maps(maintainer.index))
+        assert obs.counter(names.MAINT_PNUMBERS_CHANGED) == changed
+        assert_index_exact(maintainer)

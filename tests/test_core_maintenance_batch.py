@@ -78,9 +78,9 @@ def _random_stream(seed: int, n: int, steps: int, graph: Graph) -> list:
     return ops
 
 
-def _apply_batched(maintainer, ops, size, **kwargs):
+def _apply_batched(maintainer, ops, size):
     for i in range(0, len(ops), size):
-        maintainer.apply_batch(ops[i : i + size], **kwargs)
+        maintainer.apply_batch(ops[i : i + size])
 
 
 class TestDifferentialSoak:
@@ -115,16 +115,6 @@ class TestDifferentialSoak:
         assert maintainer.index.semantically_equal(
             KPIndex.build(maintainer.graph)
         )
-
-    def test_workers_parity(self, mode):
-        g = erdos_renyi_gnm(18, 50, seed=13)
-        ops = _random_stream(13, 18, 40, g)
-        serial = KPIndexMaintainer(g.copy(), mode=mode)
-        parallel = KPIndexMaintainer(g.copy(), mode=mode)
-        _apply_batched(serial, ops, 16, workers=1)
-        _apply_batched(parallel, ops, 16, workers=2)
-        assert serial.index.semantically_equal(parallel.index)
-        assert _index_bytes(serial.index) == _index_bytes(parallel.index)
 
     @given(st.integers(0, 10_000), st.sampled_from(BATCH_SIZES))
     @settings(max_examples=30, deadline=None)
@@ -520,12 +510,6 @@ class TestCoalesce:
         assert _index_bytes(maintainer.index) == before_bytes
         assert maintainer.index.versions() == before_versions
         assert maintainer.stats.batches == 0
-
-    def test_bad_workers_rejected_before_mutation(self, triangle):
-        maintainer = KPIndexMaintainer(triangle)
-        with pytest.raises(ParameterError):
-            maintainer.apply_batch([("insert", 0, 3)], workers=0)
-        assert not triangle.has_edge(0, 3)
 
 
 class TestBatchReport:

@@ -389,7 +389,9 @@ class TestResidualKernel:
 
 def test_serving_import_leaves_numpy_unloaded():
     code = (
-        "import sys, repro, repro.service.server\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "import sys, repro, repro.service.server, repro.core.maintenance\n"
+        "import repro.cli\n"
+        "for name in ('numpy', 'multiprocessing'):\n"
+        "    assert name not in sys.modules, name + ' imported'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)

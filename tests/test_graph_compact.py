@@ -1,11 +1,14 @@
 """Unit tests for the CSR snapshot."""
 
+import pickle
+
 import pytest
 
 from repro.errors import VertexNotFoundError
 from repro.graph.adjacency import Graph
 from repro.graph.compact import CompactAdjacency
 from repro.graph.generators import erdos_renyi_gnm
+from repro.kcore.decomposition import core_numbers_compact
 
 
 class TestLayout:
@@ -75,3 +78,32 @@ class TestRankPrefix:
         i = snap.index_of(0)
         assert snap.rank_prefix_length(i, 0, rank) == 2
         assert snap.rank_prefix_length(i, 2, rank) == 0
+
+
+class TestPickling:
+    """Default pickling round-trips a snapshot (no custom hooks)."""
+
+    def test_round_trip_preserves_csr_and_labels(self, figure1_like_graph):
+        snapshot = CompactAdjacency(figure1_like_graph)
+        clone = pickle.loads(pickle.dumps(snapshot))
+        assert clone.indptr == snapshot.indptr
+        assert clone.indices == snapshot.indices
+        assert clone.labels == snapshot.labels
+
+    def test_round_trip_preserves_label_index(self, figure1_like_graph):
+        snapshot = CompactAdjacency(figure1_like_graph)
+        clone = pickle.loads(pickle.dumps(snapshot))
+        for v in figure1_like_graph.vertices():
+            assert clone.index_of(v) == snapshot.index_of(v)
+
+    def test_round_trip_preserves_rank_sorting(self):
+        g = erdos_renyi_gnm(40, 160, seed=3)
+        snapshot = CompactAdjacency(g)
+        core, _ = core_numbers_compact(snapshot)
+        snapshot.sort_neighbors_by_rank_desc(core)
+        clone = pickle.loads(pickle.dumps(snapshot))
+        for i in range(snapshot.num_vertices):
+            for k in range(0, max(core, default=0) + 2):
+                assert clone.rank_prefix_length(
+                    i, k, core
+                ) == snapshot.rank_prefix_length(i, k, core)
