@@ -12,12 +12,10 @@ Public surface:
 * :class:`~repro.core.maintenance.KPIndexMaintainer` — Algorithms 4/5
   (kpIndexInsert / kpIndexDelete) for dynamic graphs,
 * :mod:`~repro.core.hierarchy` — nested-core exploration for a fixed ``k``,
-* :mod:`~repro.core.bounds` — the p-number upper/lower bounds of Sec. VI,
 * :mod:`~repro.core.naive` — definition-literal oracles for testing.
 """
 
 from repro.core.baseline_index import MaterializedIndex
-from repro.core.bounds import BoundsCache, p_hat, p_tilde, scaled_h_index
 from repro.core.communities import (
     Community,
     GridCell,
@@ -67,10 +65,6 @@ __all__ = [
     "KPIndexMaintainer",
     "MaintenanceMode",
     "MaintenanceStats",
-    "p_hat",
-    "p_tilde",
-    "scaled_h_index",
-    "BoundsCache",
     "MaterializedIndex",
     "Community",
     "GridCell",

@@ -14,22 +14,25 @@ edge cancel), and the number of net ops picks one of two rules.
 2. skip every ``A_k`` with ``k`` above both endpoint core numbers
    (Theorem 2 for insertion, Theorem 7 for deletion),
 3. for each remaining ``k``, derive the p-number window ``[p_-, p_+]``
-   (Theorems 3-5, 8, 9, Defs. 5-7) — vertices with old p-number outside
+   (Theorems 3-5, 8, 9, Def. 7) — vertices with old p-number outside
    it are untouched — and skip the array outright when the window is
-   empty (Theorem 6),
+   empty (Theorem 6).  ``p_+`` caps an endpoint's new p-number by its
+   one-hop fraction ``deg(x, C_k(G')) / deg(x, G')``: ``x`` keeps that
+   share of its neighbours in ``C_{k,pn'(x)}(G') ⊆ C_k(G')``, so no
+   larger p-number is possible,
 4. re-peel the ``pn >= p_-`` suffix on the peel kernel, stopping as soon
    as the level exceeds ``p_+`` (the survivors keep their old
    p-numbers), and splice it back into ``A_k``.  An array whose k-core
    membership changed is windowed at ``[0, p_+]`` over its new members.
 
 **More than one net op** re-peels in full: every op is applied to the
-graph, core numbers come from one linear decomposition of the post-batch
-graph, and ``A_2 .. A_reach`` are re-peeled from scratch through one
-shared :class:`~repro.graph.compact.CompactAdjacency` snapshot and the
-Algorithm 2 kernel, serially with one reused scratch.  ``reach`` is the
-largest old or new core number of a batch endpoint: Theorems 2/7 for a
-batch — if no endpoint lies in ``C_k`` before or after, ``C_k`` and
-``A_k`` are unchanged.
+graph, one :class:`~repro.graph.compact.CompactAdjacency` snapshot of the
+post-batch graph yields the core numbers (one linear decomposition), and
+``A_2 .. A_reach`` are re-peeled from scratch through that same snapshot
+and the Algorithm 2 kernel, serially with one reused scratch.  ``reach``
+is the largest old or new core number of a batch endpoint: Theorems 2/7
+for a batch — if no endpoint lies in ``C_k`` before or after, ``C_k``
+and ``A_k`` are unchanged.
 
 Each touched array bumps its version once per batch, which is what lets
 the serving cache invalidate once instead of once per edge (see
@@ -66,10 +69,10 @@ from repro.errors import (
 )
 from repro.graph.adjacency import Graph, Vertex
 from repro.graph.compact import CompactAdjacency
+from repro.kcore.decomposition import core_numbers_compact
 from repro.kcore.maintenance import CoreMaintainer
 from repro.obs import names as metric
 from repro.obs.instrumentation import Instrumentation, get_collector, maybe_span
-from repro.core.bounds import BoundsCache
 from repro.core.index import KArray, KPIndex
 from repro.core.peel_engines import ENGINES, make_scratch
 from repro.core.peel_flat import peel_residual
@@ -443,13 +446,14 @@ class KPIndexMaintainer:
         """Apply a multi-op batch and re-peel every reached ``A_k`` in full.
 
         No per-op core repair and no window: the ops go straight into the
-        graph, core numbers come from one linear decomposition of the
-        post-batch graph, and ``A_2 .. A_reach`` re-peel through
-        :meth:`_repeel_full_arrays`.  ``reach`` is the largest old or new
-        core number of a batch endpoint — Theorems 2/7 for a batch: when
-        no endpoint lies in ``C_k`` before or after, no edge inside
-        ``C_k`` changed, so ``C_k`` and ``A_k`` are unchanged.  Returns
-        the number of arrays re-peeled.
+        graph, one snapshot of the post-batch graph yields the core
+        numbers (one linear decomposition), and ``A_2 .. A_reach`` re-peel
+        through :meth:`_repeel_full_arrays` on that same snapshot.
+        ``reach`` is the largest old or new core number of a batch
+        endpoint — Theorems 2/7 for a batch: when no endpoint lies in
+        ``C_k`` before or after, no edge inside ``C_k`` changed, so
+        ``C_k`` and ``A_k`` are unchanged.  Returns the number of arrays
+        re-peeled.
         """
         endpoints = {w for _, u, v in ops for w in (u, v)}
         reach = max(self._cores.core_number_or(w) for w in endpoints)
@@ -463,7 +467,12 @@ class KPIndexMaintainer:
                 graph.remove_edge(u, v)
                 self.stats.deletions += 1
                 self.index.adjust_num_edges(-1)
-        self._cores = CoreMaintainer(graph)
+        snapshot = CompactAdjacency(graph)
+        core, _ = core_numbers_compact(snapshot)
+        labels = snapshot.labels
+        self._cores = CoreMaintainer(
+            graph, {labels[i]: c for i, c in enumerate(core)}
+        )
         reach = max(reach, max(self._cores.core_number(w) for w in endpoints))
         self._update_a1_after_batch(ops)
         ks = list(range(2, reach + 1))
@@ -475,7 +484,7 @@ class KPIndexMaintainer:
             obs.add(metric.MAINT_ARRAYS_EXAMINED, len(ks))
         for k in ks:
             self._ensure_array(k)
-        self._repeel_full_arrays(ks)
+        self._repeel_full_arrays(ks, snapshot, core)
         return len(ks)
 
     def _batch_window(
@@ -489,15 +498,17 @@ class KPIndexMaintainer:
         ``members`` is the post-update k-core ``C_k(G')`` when the array's
         membership changed (the window is then ``[0, p_+]``), else
         ``None``: the array's own members are ``C_k(G')``.  Old p-numbers
-        ``pn_old`` are 0 outside ``A_k``; ``p̃`` (Def. 6) is evaluated on
-        ``G'`` over ``C_k(G')``.
+        ``pn_old`` are 0 outside ``A_k``.
 
         ``p_+`` (Thms. 4/9): ``max(pn_old(u), pn_old(v))``, raised to
-        ``min(p̃(u), p̃(v))`` for an insert with both endpoints in
-        ``C_k(G')``, or to ``p̃(x)`` for each endpoint ``x`` of a delete
-        that lies in ``C_k(G')``.  An insert with one endpoint outside the
-        k-core (Algorithm 4's case 1.2) contributes no ``p̃``.  For
-        ``p0 > p_+``, ``C_{k,p0}(G)`` holds no endpoint and
+        ``min(f(u), f(v))`` for an insert with both endpoints in
+        ``C_k(G')``, or to ``f(x)`` for each endpoint ``x`` of a delete
+        that lies in ``C_k(G')``, where ``f(x) = deg(x, C_k(G')) /
+        deg(x, G')`` is the one-hop cap.  It bounds the new p-number: with
+        ``q = pn'(x)``, ``x`` keeps at least ``q·deg(x, G')`` neighbours in
+        ``C_{k,q}(G') ⊆ C_k(G')``, so ``q <= f(x)``.  An insert with one
+        endpoint outside the k-core (Algorithm 4's case 1.2) contributes
+        no cap.  For ``p0 > p_+``, ``C_{k,p0}(G)`` holds no endpoint and
         ``C_{k,p0}(G')`` holds no member endpoint of a deleted edge and
         at most one endpoint of an inserted one, so each is a
         ``(k, p0)``-core of the other graph too and the suffix above
@@ -513,26 +524,25 @@ class KPIndexMaintainer:
         """
         kind, u, v = op
         kcore = array.members_view() if members is None else members
-        bounds = BoundsCache(self.graph, kcore)
+        graph = self.graph
         pn_old = array.p_number_or
         p_plus = max(pn_old(u, 0.0), pn_old(v, 0.0))
-        if kind == "delete":
-            for x in (u, v):
-                if x in kcore:
-                    p_plus = max(p_plus, bounds.p_tilde(x))
-        elif u in kcore and v in kcore:
-            # max(p_plus, min(a, b)) without b's two-hop scan when a
-            # cannot raise the cap.
-            cap = bounds.p_tilde(u)
-            if cap > p_plus:
-                p_plus = min(cap, max(p_plus, bounds.p_tilde(v)))
-        if members is not None:
-            return 0.0, p_plus
         inside = [x for x in (u, v) if x in kcore]
-        if not inside:
+        # The one-hop cap f(x) of each endpoint in C_k(G').
+        caps = [
+            fraction_value(
+                sum(1 for w in graph.neighbors(x) if w in kcore),
+                graph.degree(x),
+            )
+            for x in inside
+        ]
+        if kind == "delete":
+            p_plus = max([p_plus, *caps])
+        elif len(caps) == 2:
+            p_plus = max(p_plus, min(caps))
+        if members is not None or not inside:
             return 0.0, p_plus
         p1 = min(array.p_number(x) for x in inside)
-        graph = self.graph
         p_minus = p1
         for x in inside:
             # deg(x, C_{k,p1}(G)) on G': the members of pn >= p1.
@@ -547,18 +557,26 @@ class KPIndexMaintainer:
             return None
         return p_minus, p_plus
 
-    def _repeel_full_arrays(self, ks: Sequence[int]) -> None:
+    def _repeel_full_arrays(
+        self,
+        ks: Sequence[int],
+        snapshot: CompactAdjacency | None = None,
+        core: list[int] | None = None,
+    ) -> None:
         """Re-peel each ``A_k`` in ``ks`` from scratch with the peel kernel.
 
-        One :class:`CompactAdjacency` snapshot of the live graph is built
-        per batch and shared by every array, so the per-array marginal
-        cost is the kernel peel itself — the same kernel Algorithm 2
-        runs, scratch reused across the ks.
+        One :class:`CompactAdjacency` snapshot of the live graph is shared
+        by every array, so the per-array marginal cost is the kernel peel
+        itself — the same kernel Algorithm 2 runs, scratch reused across
+        the ks.  A caller that already holds the snapshot and its core
+        numbers (by internal id) passes both; otherwise they are built
+        here from the live graph and the maintained core numbers.
         """
         obs = get_collector()
-        snapshot = CompactAdjacency(self.graph)
-        cn = self._cores.core_numbers()
-        core = [cn.get(label, 0) for label in snapshot.labels]
+        if snapshot is None or core is None:
+            snapshot = CompactAdjacency(self.graph)
+            cn = self._cores.core_numbers()
+            core = [cn.get(label, 0) for label in snapshot.labels]
         snapshot.sort_neighbors_by_rank_desc(core)
         peel = ENGINES["flat"]
         scratch = make_scratch(snapshot, core)
@@ -629,8 +647,9 @@ class KPIndexMaintainer:
         """Record one recomputed ``[p_-, p_+]`` window.
 
         Widths are recorded unclamped: a negative width in the metrics
-        would expose an inverted window, which the Defs. 5-7 bounds rule
-        out — the pruning-effectiveness tests assert exactly that.
+        would expose an inverted window, which cannot happen — ``p_+``
+        dominates the endpoints' old p-numbers and ``p_-`` never exceeds
+        them; the pruning-effectiveness tests assert exactly that.
         """
         obs.observe(metric.MAINT_WINDOW_P_MINUS, p_minus)
         obs.observe(metric.MAINT_WINDOW_P_PLUS, p_plus)

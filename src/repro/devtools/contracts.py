@@ -9,8 +9,9 @@ their outputs against the paper's definitions:
 * :func:`verify_decomposition` — p-numbers are monotone non-increasing in
   ``k`` and each array is sorted in deletion order (Algorithm 2),
 * :func:`verify_maintainer_update` — after every edge update the endpoint
-  p-numbers respect the bounds sandwich ``p_ <= pn(v,k) <= min(p̂, p̃)``
-  (Defs. 5-7) and, on small graphs, the whole index re-validates,
+  p-numbers respect the bounds sandwich ``p_ <= pn(v,k) <= f(v)`` (the
+  first peel level below, the one-hop k-core fraction above) and, on
+  small graphs, the whole index re-validates,
 * :func:`verify_maintainer_query` — KP-Index answers equal from-scratch
   :func:`repro.core.kpcore.kp_core_vertices`.
 
@@ -139,35 +140,38 @@ def check_bounds_sandwich(
     vertices: Iterable[Any],
     check_lower: bool = False,
 ) -> None:
-    """``p_ <= pn(v, k) <= min(p̂, p̃)`` for ``vertices`` of one ``A_k``.
+    """``p_ <= pn(v, k) <= f(v)`` for ``vertices`` of one ``A_k``.
 
     ``array`` is a :class:`repro.core.index.KArray` whose vertex set is
-    the current k-core.  The upper bounds are Definitions 5/6 (corrected
-    forms, see :mod:`repro.core.bounds`); the lower bound — only computed
-    with ``check_lower=True``, it costs a full member scan — is the first
-    peel level of Algorithm 2: no p-number falls below the minimum
-    fraction over the k-core.
+    the current k-core.  The upper bound is the one-hop cap ``f(v) =
+    deg(v, C_k) / deg(v, G)``: ``v`` keeps at least a ``pn(v, k)`` share
+    of its neighbours in ``C_{k,pn(v,k)} ⊆ C_k``.  The lower bound — only
+    computed with ``check_lower=True``, it costs a full member scan — is
+    the first peel level of Algorithm 2: no p-number falls below the
+    minimum fraction over the k-core.
     """
-    from repro.core.bounds import BoundsCache, fraction_in
+    from repro.core.pvalue import fraction_value
 
     members = array.members_view()
     if not members:
         return
-    cache = BoundsCache(graph, members)
+
+    def one_hop(w: Any) -> float:
+        inside = sum(1 for x in graph.neighbors(w) if x in members)
+        return fraction_value(inside, graph.degree(w))
+
     for w in vertices:
         if not array.contains(w):
             continue
         pn = array.p_number(w)
-        p_hat = cache.p_hat(w)
-        p_tilde = cache.p_tilde(w)
-        upper = min(p_hat, p_tilde)
+        upper = one_hop(w)
         if pn > upper:
             raise ContractViolationError(
                 f"A_{array.k}: pn({w!r}) = {pn} exceeds its upper bound "
-                f"min(p_hat={p_hat}, p_tilde={p_tilde}) = {upper}"
+                f"deg({w!r}, C_{array.k}) / deg({w!r}) = {upper}"
             )
     if check_lower:
-        p_lower = min(fraction_in(graph, members, w) for w in members)
+        p_lower = min(one_hop(w) for w in members)
         for w, pn in zip(array.vertices, array.p_numbers):
             if pn < p_lower:
                 raise ContractViolationError(

@@ -12,8 +12,8 @@ Checks, in order:
 2. kpCore over a (k, p) grid: Definition 3 postcondition, and agreement
    between the KP-Index answer and from-scratch computation.
 3. KP-Index structural validation (nesting, Lemma 1 space bound).
-4. Bounds sandwich ``p_ <= pn <= min(p̂, p̃)`` for every vertex of every
-   array (vertices are sampled on large graphs).
+4. Bounds sandwich ``p_ <= pn <= deg(v, C_k) / deg(v)`` for every vertex
+   of every array (vertices are sampled on large graphs).
 5. Maintenance round-trip: delete and re-insert a few edges through the
    maintainer, then compare against a from-scratch rebuild.
 """
@@ -106,7 +106,7 @@ def selfcheck_graph(graph, out: IO[str] = sys.stdout) -> int:
                     <= contracts.FULL_CHECK_EDGE_LIMIT,
                 )
 
-        step("bounds sandwich p_ <= pn <= min(p^, p~)", sandwich_check)
+        step("bounds sandwich p_ <= pn <= deg(v, C_k)/deg(v)", sandwich_check)
 
         def roundtrip_check() -> None:
             working = graph.copy()

@@ -49,10 +49,16 @@ class CoreMaintainer:
     1
     """
 
-    def __init__(self, graph: Graph) -> None:
+    def __init__(
+        self, graph: Graph, core_numbers: dict[Vertex, int] | None = None
+    ) -> None:
         self.graph = graph
-        self._core: dict[Vertex, int] = dict(
-            core_decomposition(graph).core_numbers
+        #: ``core_numbers``, when given, must be exactly ``cn(·, graph)``
+        #: (a caller that already decomposed ``graph`` hands them over).
+        self._core: dict[Vertex, int] = (
+            dict(core_decomposition(graph).core_numbers)
+            if core_numbers is None
+            else core_numbers
         )
         #: total vertices whose promotion/demotion was evaluated — the
         #: work figure the backend ablation compares across algorithms

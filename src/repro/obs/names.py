@@ -197,8 +197,8 @@ HISTOGRAMS: dict[str, str] = {
     DECOMP_ARRAY_SIZE: "per-k array size |V_k| built by Algorithm 2",
     DECOMP_FLAT_LEVELS: "distinct fraction levels in the global flat ladder",
     MAINT_WINDOW_WIDTH: "recomputed p-number window widths p_+ - p_-",
-    MAINT_WINDOW_P_MINUS: "window lower ends p_- (Defs. 5-7 bounds)",
-    MAINT_WINDOW_P_PLUS: "window upper ends p_+ (Defs. 5-7 bounds)",
+    MAINT_WINDOW_P_MINUS: "window lower ends p_- (Thms. 3/5/8, Def. 7 witness)",
+    MAINT_WINDOW_P_PLUS: "window upper ends p_+ (Thms. 4/9, one-hop cap)",
     INDEX_ANSWER_SIZE: "per-query answer sizes (Theorem 1 output bound)",
     INDEX_LEVELS_SEARCHED: "|P_k| binary-searched per query",
     SERVER_BATCH_SIZE: "queries per query_many batch on the concurrent server",

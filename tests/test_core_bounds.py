@@ -1,98 +1,49 @@
-"""Unit tests for the p-number bounds of Sec. VI.
+"""Unit tests for the maintenance window bounds of Sec. VI.
 
-Includes the regression case showing why the paper's literal grid bounds
-are insufficient and the corrected forms are required.
+The planner's ``p_+`` caps an endpoint's new p-number by its one-hop
+fraction ``deg(x, C_k) / deg(x)``; its ``p_-`` is the clamped witness
+rule.  Includes the cascade case showing why the paper's literal grid
+bounds are insufficient.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from repro.graph.generators import erdos_renyi_gnm
-from repro.core.bounds import (
-    BoundsCache,
-    degree_in,
-    fraction_in,
-    p_hat,
-    p_tilde,
-    scaled_h_index,
-    upper_h_value,
-)
 from repro.core.decomposition import p_numbers_fixed_k
 from repro.core.maintenance import KPIndexMaintainer
+from repro.core.pvalue import as_fraction
 from repro.kcore.compute import k_core_vertices
 from repro.kcore.decomposition import core_decomposition
 
 
-class TestHValues:
-    def test_grid_h_index(self):
-        assert scaled_h_index([1.0, 0.8, 0.5], 4) == pytest.approx(0.5)
-        assert scaled_h_index([], 5) == 0.0
-        assert scaled_h_index([0.1], 0) == 0.0
-
-    def test_upper_h_dominates_grid(self):
-        import random
-
-        rng = random.Random(3)
-        for _ in range(300):
-            values = [rng.random() for _ in range(rng.randint(0, 12))]
-            d = rng.randint(1, 15)
-            assert upper_h_value(values, d) >= scaled_h_index(values, d)
-
-    def test_upper_h_known_case(self):
-        # the cascade example: values [1, 2/3], denominator 2
-        assert upper_h_value([1.0, 2 / 3], 2) == pytest.approx(2 / 3)
-        assert scaled_h_index([1.0, 2 / 3], 2) == pytest.approx(0.5)
-
-    def test_upper_h_order_insensitive(self):
-        assert upper_h_value([0.2, 0.9, 0.5], 3) == upper_h_value(
-            [0.9, 0.5, 0.2], 3
-        )
-
-
-class TestSetHelpers:
-    def test_degree_and_fraction_in(self, triangle_with_tail):
-        members = {0, 1, 2}
-        assert degree_in(triangle_with_tail, members, 0) == 2
-        assert fraction_in(triangle_with_tail, members, 0) == pytest.approx(2 / 3)
-
-
 class TestUpperBoundsAreSound:
     def test_cascade_regression(self, cascade_graph):
-        """The paper's Lemma 2 grid bound under-estimates on cascades."""
+        """A cascade p-number is off its own grid; the one-hop cap holds."""
         g = cascade_graph
         kcore = k_core_vertices(g, 2)
         pn = p_numbers_fixed_k(g, 2)
-        # vertex 5 has pn = 2/3 but the grid bound says 1/2
-        grid = scaled_h_index(
-            [fraction_in(g, kcore, x) for x in g.neighbors(5) if x in kcore],
-            g.degree(5),
-        )
-        assert grid < pn[5]
-        # the corrected bounds remain sound
-        assert p_hat(g, kcore, 5) >= pn[5]
-        assert p_tilde(g, kcore, 5) >= pn[5]
+        # vertex 5 inherits 3's fraction 2/3, not a multiple of 1/deg(5),
+        # so the paper's grid bound (1/2 here) would cut it off
+        assert g.degree(5) == 2
+        assert as_fraction(pn[5], max(g.degrees().values())) == Fraction(2, 3)
+        inside = sum(1 for x in g.neighbors(5) if x in kcore)
+        assert Fraction(inside, g.degree(5)) >= Fraction(2, 3)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_p_hat_and_p_tilde_dominate_pn(self, seed):
+    def test_one_hop_cap_dominates_pn(self, seed):
+        """``pn(w) <= deg(w, C_k) / deg(w)`` for every k-core member."""
         g = erdos_renyi_gnm(18, 50, seed=seed)
+        max_degree = max(g.degrees().values())
         d = core_decomposition(g).degeneracy
         for k in range(1, d + 1):
             kcore = k_core_vertices(g, k)
             pn = p_numbers_fixed_k(g, k)
-            cache = BoundsCache(g, kcore)
             for w in kcore:
-                hat = cache.p_hat(w)
-                tilde = cache.p_tilde(w)
-                assert hat >= pn[w] - 1e-12, (seed, k, w)
-                assert tilde >= pn[w] - 1e-12, (seed, k, w)
-                # Lemma 3 ordering: p_hat >= p_tilde
-                assert hat >= tilde - 1e-12
-
-    def test_cache_matches_direct(self, cascade_graph):
-        kcore = k_core_vertices(cascade_graph, 2)
-        cache = BoundsCache(cascade_graph, kcore)
-        for w in kcore:
-            assert cache.p_hat(w) == p_hat(cascade_graph, kcore, w)  # noqa: KP002 exact-double oracle
-            assert cache.p_tilde(w) == p_tilde(cascade_graph, kcore, w)  # noqa: KP002 exact-double oracle
+                inside = sum(1 for x in g.neighbors(w) if x in kcore)
+                cap = Fraction(inside, g.degree(w))
+                assert as_fraction(pn[w], max_degree) <= cap, (seed, k, w)
 
 
 def _planner_window(graph, op, k, *, witness_only=False):

@@ -33,6 +33,7 @@ from repro.errors import (
     SelfLoopError,
 )
 from repro.graph.adjacency import Graph
+from repro.graph.compact import CompactAdjacency
 from repro.graph.generators import erdos_renyi_gnm
 from repro.kcore.maintenance import CoreMaintainer
 from repro.core.index import KPIndex
@@ -166,7 +167,7 @@ class TestWindowEdgeCases:
     def test_core_inserts_sharing_endpoints_with_other_ops(self, seed, pairs):
         # Inserted edges with both endpoints in a k-core, beside deletes
         # and outward inserts on the same endpoints: one op at a time each
-        # insert inside the core takes min(p~(u), p~(v)) as its p_+.
+        # insert inside the core takes the smaller one-hop cap as its p_+.
         rng = random.Random(seed)
         g = erdos_renyi_gnm(11, rng.randint(22, 34), seed=seed)
         cores = CoreMaintainer(g.copy())
@@ -348,6 +349,27 @@ class TestMultiOpRule:
             assert bumped[k] == versions.get(k, 0) + 1, k
         assert maintainer.core_number(100) == after.core_number(100)
         _assert_matches_oracles(maintainer)
+
+    def test_one_snapshot_per_multi_op_batch(self, mode, monkeypatch):
+        # Core numbers and every full re-peel share one snapshot of the
+        # post-batch graph.
+        g = erdos_renyi_gnm(30, 90, seed=45)
+        maintainer = KPIndexMaintainer(g, mode=mode)
+        built = []
+        init = CompactAdjacency.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompactAdjacency, "__init__", counting_init)
+        report = maintainer.apply_batch(_random_stream(45, 30, 12, g))
+        monkeypatch.undo()
+        assert report.applied > 1 and report.full_repeels >= 2
+        assert len(built) == 1
+        assert maintainer.index.semantically_equal(
+            KPIndex.build(maintainer.graph)
+        )
 
     def test_whole_graph_seeding_batch_reaches_the_degeneracy(
         self, monkeypatch
