@@ -25,6 +25,16 @@ edge cancel), and the number of net ops picks one of two rules.
    p-numbers), and splice it back into ``A_k``.  An array whose k-core
    membership changed is windowed at ``[0, p_+]`` over its new members.
 
+The window re-peels drain on one persistent
+:class:`~repro.core.peel_flat.PeelState` per maintainer: an int-id
+adjacency of the live graph, one global rank ladder and the drain
+buffers.  It is built at the first window re-peel, patched in O(deg) by
+every later single op (the ladder is rebuilt only when an endpoint
+reaches a degree it never held), and dropped by a multi-op batch,
+:meth:`~KPIndexMaintainer.insert_vertex` and
+:meth:`~KPIndexMaintainer.delete_vertex`; the next window re-peel builds
+it again.  ``MaintenanceStats.peel_state_builds`` counts the builds.
+
 **More than one net op** re-peels in full: every op is applied to the
 graph, one :class:`~repro.graph.compact.CompactAdjacency` snapshot of the
 post-batch graph yields the core numbers (one linear decomposition), and
@@ -75,7 +85,7 @@ from repro.obs import names as metric
 from repro.obs.instrumentation import Instrumentation, get_collector, maybe_span
 from repro.core.index import KArray, KPIndex
 from repro.core.peel_engines import ENGINES, make_scratch
-from repro.core.peel_flat import peel_residual
+from repro.core.peel_flat import PeelState
 from repro.core.pvalue import fraction_value
 
 __all__ = [
@@ -113,6 +123,9 @@ class MaintenanceStats:
     fallback_rebuilds: int = 0
     batches: int = 0
     batch_cancelled_pairs: int = 0
+    #: Full builds of the persistent peel state plus rank-ladder rebuilds
+    #: (a vertex reached a degree the ladder never held).
+    peel_state_builds: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.__dict__)
@@ -150,11 +163,10 @@ def coalesce_updates(
     Returns the net ops in first-touch order (first-seen endpoint
     orientation) plus the number of cancelled insert+delete pairs.
     """
-    initial: dict[frozenset[Vertex], bool] = {}
-    current: dict[frozenset[Vertex], bool] = {}
-    orientation: dict[frozenset[Vertex], tuple[Vertex, Vertex]] = {}
-    op_counts: dict[frozenset[Vertex], int] = {}
-    order: list[frozenset[Vertex]] = []
+    # One record per edge, keyed by its first-seen orientation: [initial
+    # presence, current presence, op count].  Dict order is first-touch
+    # order.
+    records: dict[tuple[Vertex, Vertex], list[int]] = {}
     for op, u, v in updates:
         if op not in ("insert", "delete"):
             raise ParameterError(
@@ -162,31 +174,28 @@ def coalesce_updates(
             )
         if u == v:
             raise SelfLoopError(u)
-        edge = frozenset((u, v))
-        if edge not in current:
-            present = graph.has_edge(u, v)
-            initial[edge] = present
-            current[edge] = present
-            orientation[edge] = (u, v)
-            op_counts[edge] = 0
-            order.append(edge)
-        op_counts[edge] += 1
+        record = records.get((u, v))
+        if record is None:
+            record = records.get((v, u))
+            if record is None:
+                present = graph.has_edge(u, v)
+                record = records[u, v] = [present, present, 0]
+        record[2] += 1
         if op == "insert":
-            if current[edge]:
+            if record[1]:
                 raise EdgeExistsError(u, v)
-            current[edge] = True
+            record[1] = True
         else:
-            if not current[edge]:
+            if not record[1]:
                 raise EdgeNotFoundError(u, v)
-            current[edge] = False
+            record[1] = False
     net: list[tuple[str, Vertex, Vertex]] = []
     cancelled = 0
-    for edge in order:
-        u, v = orientation[edge]
-        surviving = 0 if current[edge] == initial[edge] else 1
-        cancelled += (op_counts[edge] - surviving) // 2
+    for (u, v), (initial, current, op_count) in records.items():
+        surviving = 0 if current == initial else 1
+        cancelled += (op_count - surviving) // 2
         if surviving:
-            net.append(("insert" if current[edge] else "delete", u, v))
+            net.append(("insert" if current else "delete", u, v))
     return net, cancelled
 
 
@@ -239,6 +248,10 @@ class KPIndexMaintainer:
             index.validate()
             self.index = index
         self.stats = MaintenanceStats()
+        #: The window re-peels' int-id adjacency, rank ladder and drain
+        #: buffers: built at the first window re-peel, patched per single
+        #: op, dropped by multi-op batches and vertex insert/delete.
+        self._peel_state: PeelState | None = None
 
     # ------------------------------------------------------------------
     # public accessors
@@ -304,6 +317,7 @@ class KPIndexMaintainer:
         ``pn = 0`` everywhere; every incident edge is handled by
         :meth:`insert_edge`.
         """
+        self._peel_state = None
         self.graph.add_vertex(v)
         self._cores.insert_vertex(v)
         for w in neighbors:
@@ -318,6 +332,7 @@ class KPIndexMaintainer:
         for w in list(self.graph.neighbors(v)):
             self.delete_edge(v, w)
         self._cores.delete_vertex(v)
+        self._peel_state = None
 
     # ------------------------------------------------------------------
     # batched maintenance: one re-peel per affected A_k
@@ -397,6 +412,11 @@ class KPIndexMaintainer:
             k_changed = low
             reach = max(cn_old_u, cn_old_v)  # Theorem 7
             skip_metric = metric.MAINT_THM7_SKIPS
+        state = self._peel_state
+        if state is not None:
+            patch = state.add_edge if op == "insert" else state.remove_edge
+            if patch(u, v):
+                self._count_state_build(obs)
         if obs is not None:
             # Theorems 2/7: arrays above both endpoint core numbers are
             # provably untouched by this op.
@@ -457,6 +477,7 @@ class KPIndexMaintainer:
         """
         endpoints = {w for _, u, v in ops for w in (u, v)}
         reach = max(self._cores.core_number_or(w) for w in endpoints)
+        self._peel_state = None
         graph = self.graph
         for op, u, v in ops:
             if op == "insert":
@@ -683,6 +704,11 @@ class KPIndexMaintainer:
                 changed += 1
         return changed + scope - stayed
 
+    def _count_state_build(self, obs: Instrumentation | None) -> None:
+        self.stats.peel_state_builds += 1
+        if obs is not None:
+            obs.inc(metric.MAINT_PEEL_STATE_BUILDS)
+
     def _ensure_array(self, k: int) -> KArray:
         arrays = self.index.arrays()
         array = arrays.get(k)
@@ -725,8 +751,10 @@ class KPIndexMaintainer:
         bisection, so per-array work is proportional to the window instead
         of |V_k|.  Otherwise ``members`` is the current k-core, and its
         vertices missing from the array are new members that must be
-        peeled before the Theorem 4/9 early stop may fire.  A window that
-        does not contain every change raises
+        peeled before the Theorem 4/9 early stop may fire.  The residual
+        drains on the maintainer's :class:`PeelState` (built here on first
+        use), marked in its member mask rather than copied.  A window
+        that does not contain every change raises
         :class:`~repro.errors.IndexStateError` — from the kernel, from the
         early-stop check below or from the splice's ordering check.
         """
@@ -736,8 +764,12 @@ class KPIndexMaintainer:
         # entries — it can never let a stale answer survive.
         self.index.bump_version(k)
         residual, first_new = self._residual(array, members, p_minus)
-        order, p_numbers, tail, stopped = peel_residual(
-            self.graph, residual, first_new, k, p_plus
+        state = self._peel_state
+        if state is None:
+            state = self._peel_state = PeelState(self.graph)
+            self._count_state_build(get_collector())
+        order, p_numbers, tail, stopped = state.peel_window(
+            residual, first_new, k, p_plus
         )
         # The tail is in old array order, so its head has the smallest
         # old p-number: every survivor must lie above p_+.

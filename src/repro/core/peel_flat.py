@@ -2,14 +2,17 @@
 
 Both are one computation — peel a vertex set in rounds by the fraction
 ``deg(v, C) / deg(v, G)``, the round level at deletion being the
-vertex's p-number — so both run on one drain:
+vertex's p-number — so both run on one drain (:func:`_drain`):
 
 * :func:`peel_fixed_k_flat` peels a whole k-core of a frozen
   :class:`~repro.graph.compact.CompactAdjacency` snapshot (full
-  decomposition, batched full-array re-peels);
-* :func:`peel_residual` peels the window residual of one ``A_k`` on the
-  live :class:`~repro.graph.adjacency.Graph` (the maintenance splice),
-  with the Theorem 4/9 early stop.
+  decomposition, batched full-array re-peels), on a once-per-snapshot
+  :class:`FlatScratch`;
+* :meth:`PeelState.peel_window` peels the window residual of one
+  ``A_k`` (the maintenance splice), with the Theorem 4/9 early stop, on
+  the maintainer's persistent :class:`PeelState`: an int-id adjacency
+  of the live graph patched in O(deg) per edge.  The residual is a
+  member mask in the state's ``deg_s``, not a copy.
 
 The drain's ingredients:
 
@@ -24,18 +27,19 @@ The drain's ingredients:
   double spacing replaced by the scaled integer gap.  (See
   :func:`composite_key` / :func:`key_scale`; the soundness test sweeps
   every ``a/b`` pair against :class:`fractions.Fraction` ordering.)  The
-  residual peel keeps the *global* degree as every denominator, so its
-  keys obey the same bound with ``d_max`` taken over the residual.
+  window peel keeps the *global* degree as every denominator, so its
+  keys obey the same bound with ``d_max`` the largest degree its ladder
+  holds.
 * **A rank ladder.**  Every candidate fraction ``a / b`` gets a ladder
   slot holding the *rank* of its key among the sorted distinct keys
   (``vli``), plus one exact float per distinct key (``lvl_val``, the
   correctly-rounded double ``a / b`` every p-number is stored as).
   Vertices of equal degree ``b`` share one block of slots, so a re-key
-  is two list reads: ``rank = vli[lp[u] + d]``.  The full decomposition
-  builds one global ladder (``1 <= a <= b`` per distinct degree — at
-  most ``2m`` slots, independent of ``k``) in its :class:`FlatScratch`;
-  the residual peel builds a local one over ``k <= a <= d_r(v)`` (a
-  vertex is killed, not re-keyed, when its count drops below ``k``).
+  is two list reads: ``rank = vli[lp[u] + d]``.  Both states hold one
+  global ladder, ``1 <= a <= b`` per denominator ``b`` (at most ``2m``
+  slots, independent of ``k``): :class:`FlatScratch` over the snapshot's
+  degrees, :class:`PeelState` over every degree it has held, rebuilt
+  only when a vertex reaches a new one.
 * **Bin-sorted drain, no dict, no floats.**  Vertices are parked in
   per-rank chains threaded through one preallocated two-array arena
   (``arena_vertex`` / ``arena_next``), the flat-array generalization of
@@ -49,9 +53,11 @@ The drain's ingredients:
   at the end of the round matters to the (monotone) cursor, so the drain
   stamps touched vertices into a dirty list and parks each exactly once
   when the round closes.  Chain heads are epoch-stamped so nothing is
-  cleared between ``k``'s.  Keys only ever decrease, hence a vertex is
+  cleared between peels.  Keys only ever decrease, hence a vertex is
   parked at most once per rank and a stale entry can never be mistaken
-  for a live one.
+  for a live one.  A vertex outside the peeled set has working degree
+  ``<= k-1`` — the snapshot's prefix lengths exclude it, the window's
+  mask rests at 0 — so the drain never decrements it.
 
 The hot arrays are plain Python ``list``s rather than ``array('l')``:
 ``array`` subscripting boxes a fresh ``int`` per read in CPython, while
@@ -60,7 +66,7 @@ interpreter loop that dominates here.
 
 Every peel emits the **canonical deletion order**: rounds in strictly
 increasing level order, vertices within a round sorted by internal id
-(for the residual peel: old array order, new members after it).  The
+(the snapshot's index, or the state's first-seen id).  The
 within-round order of Algorithm 2 is unspecified — every vertex of a
 round shares one p-number — so canonicalizing it makes the output
 machine-independent.  :mod:`repro.core.naive` is the reference the
@@ -70,9 +76,9 @@ kernel is tested against.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import repeat
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import IndexStateError, ParameterError
 from repro.graph.adjacency import Graph, Vertex
@@ -82,10 +88,10 @@ from repro.obs.instrumentation import Instrumentation, get_collector
 
 __all__ = [
     "FlatScratch",
+    "PeelState",
     "composite_key",
     "key_scale",
     "peel_fixed_k_flat",
-    "peel_residual",
 ]
 
 
@@ -115,23 +121,22 @@ def composite_key(numerator: int, denominator: int, scale: int) -> int:
 
 
 def _rank_ladder(
-    spans: dict[int, tuple[int, int]], gdeg: Sequence[int], scale: int
-) -> tuple[list[int], list[int], list[float]]:
-    """``(lp, vli, lvl_val)`` for the vertices of global degrees ``gdeg``.
+    dens: set[int],
+) -> tuple[dict[int, int], list[int], list[float]]:
+    """``(start, vli, lvl_val)``: every ``a / b``, ``1 <= a <= b``, ``b`` in ``dens``.
 
-    ``spans`` maps every denominator ``b`` to the numerator range
-    ``lo <= a <= hi`` its vertices need; vertices of equal degree share
-    one block of slots.  The rank of vertex ``v``'s fraction
-    ``a / gdeg[v]`` is ``vli[lp[v] + a]``.
+    Vertices of equal degree ``b`` share one block of slots: the rank of
+    the fraction ``a / b`` is ``vli[start[b] + a]``.
     """
     keys: list[int] = []
-    dens: list[int] = []
+    owners: list[int] = []
     start: dict[int, int] = {}
-    for b, (lo, hi) in spans.items():
-        start[b] = len(keys) - lo
-        keys.extend([a * scale // b for a in range(lo, hi + 1)])
-        dens.extend(repeat(b, hi - lo + 1))
-    den_of = dict(zip(keys, dens))
+    scale = key_scale(max(dens, default=0))
+    for b in dens:
+        start[b] = len(keys) - 1
+        keys.extend([a * scale // b for a in range(1, b + 1)])
+        owners.extend(repeat(b, b))
+    den_of = dict(zip(keys, owners))
     distinct = sorted(den_of)
     rank = dict(zip(distinct, range(len(distinct))))
     # One correctly-rounded double per distinct key, the exact value the
@@ -142,15 +147,17 @@ def _rank_ladder(
         -(-key * b // scale) / b  # noqa: KP001 canonical a / b double
         for key, b in zip(distinct, map(den_of.__getitem__, distinct))
     ]
-    return (
-        list(map(start.__getitem__, gdeg)),
-        list(map(rank.__getitem__, keys)),
-        lvl_val,
-    )
+    return start, list(map(rank.__getitem__, keys)), lvl_val
 
 
 class _DrainState:
-    """A CSR, its rank ladder and the reusable drain buffers."""
+    """A neighbour layout, its rank ladder and the reusable drain buffers.
+
+    Vertex ``v``'s neighbours start at ``ind[iptr[v]]``; the drain reads
+    as many of them as the caller's ``plen[v]`` says, so ``iptr`` is a
+    start offset per vertex and nothing requires the blocks to be
+    contiguous or in vertex order.
+    """
 
     __slots__ = (
         "iptr",
@@ -173,20 +180,18 @@ class _DrainState:
         self,
         iptr: list[int],
         ind: list[int],
+        n: int,
         ladder: tuple[list[int], list[int], list[float]],
     ) -> None:
-        n = len(iptr) - 1
         self.iptr = iptr
         self.ind = ind
         self.lp, self.vli, self.lvl_val = ladder
-        self.num_levels = length = len(self.lvl_val)
+        self._reset_bins()
         # rank_of is self-cleaning (stale chain entries are filtered
         # against it); chain heads are epoch-stamped.  Liveness needs no
         # array of its own: the drain's working degrees are clamped to
         # k-1 on kill, so "deg_s[u] > k-1" doubles as the alive test.
         self.rank_of = [0] * n
-        self.bin_head = [-1] * length
-        self.bin_epoch = [0] * length
         capacity = len(ind) + n + 1  # initial parks + one park per re-key
         self.arena_vertex = [0] * capacity
         self.arena_next = [0] * capacity
@@ -197,6 +202,12 @@ class _DrainState:
         # never collide and nothing is ever cleared.
         self.touch_stamp = [0] * n
         self.stamp = 0
+
+    def _reset_bins(self) -> None:
+        """Chain heads sized to the ladder (the epoch keeps counting)."""
+        self.num_levels = length = len(self.lvl_val)
+        self.bin_head = [-1] * length
+        self.bin_epoch = [0] * length
 
 
 class FlatScratch(_DrainState):
@@ -229,11 +240,12 @@ class FlatScratch(_DrainState):
         n = snapshot.num_vertices
         iptr = list(snapshot.indptr)
         gdeg = [iptr[v + 1] - iptr[v] for v in range(n)]
-        scale = key_scale(max(gdeg, default=0))
+        start, vli, lvl_val = _rank_ladder(set(gdeg))
         super().__init__(
             iptr,
             list(snapshot.indices),
-            _rank_ladder({b: (1, b) for b in set(gdeg)}, gdeg, scale),
+            n,
+            (list(map(start.__getitem__, gdeg)), vli, lvl_val),
         )
         degeneracy = max(core, default=0)
         counts = [0] * (degeneracy + 2)
@@ -339,83 +351,201 @@ def peel_fixed_k_flat(
     plen = state.prefix_lengths(k)
     order, p_numbers, _ = _drain(
         state, k, members, plen, plen[:],
-        stop_rank=state.num_levels, first_new=0, pending=0,
+        stop_rank=state.num_levels, fresh=(), pending=0,
         obs=obs, trace_start=trace_start,
     )
     return order, p_numbers
 
 
-def peel_residual(
-    graph: Graph,
-    residual: Sequence[Vertex],
-    first_new: int,
-    k: int,
-    p_plus: float,
-) -> tuple[list[Vertex], list[float], list[Vertex], bool]:
-    """Peel the subgraph of ``graph`` induced by ``residual`` at fixed ``k``.
+class PeelState(_DrainState):
+    """One maintainer's persistent peel state over its live graph.
 
-    ``residual[:first_new]`` are vertices with an old p-number, in old
-    array order; ``residual[first_new:]`` are new k-core members.  Keys
-    use the global degree ``deg_G(v)`` as denominator, so every emitted
-    p-number is the same double a full decomposition stores.  Before
-    every round the Theorem 4/9 early stop applies: once the round's
-    level exceeds ``p_plus`` and no new member is still alive, the peel
-    stops and the survivors keep their old p-numbers.
+    Built once from the :class:`~repro.graph.adjacency.Graph` and patched
+    in O(deg) per edge (:meth:`add_edge` / :meth:`remove_edge`), it holds
+    everything a window re-peel (:meth:`peel_window`) drains on:
 
-    A correct window's residual is a k-core of ``graph`` (the
-    ``pn >= p_-`` suffix of ``A_k`` is one), so a vertex that starts with
-    fewer than ``k`` residual neighbours means the window is wrong:
-    :class:`~repro.errors.IndexStateError` is raised before anything is
-    peeled.
-
-    Returns ``(order, p_numbers, tail, stopped_early)``; ``tail`` is the
-    survivors in old array order (empty unless the peel stopped early).
+    * an int-id adjacency — ``id_of`` / ``label_of`` map vertex labels to
+      ids in first-seen order; ``ind[iptr[v] : iptr[v] + deg[v]]`` are
+      ``v``'s neighbours in a slack block of ``cap[v]`` slots, moved to
+      the end of ``ind`` with doubled capacity when it fills up;
+    * one global rank ladder holding ``a / b`` for ``1 <= a <= b`` and
+      every degree ``b`` it has held (``block[b]`` is the ladder offset
+      of degree ``b``, ``lp[v] = block[deg[v]]``).  It is rebuilt only
+      when a vertex reaches a degree it has never held;
+    * the drain buffers, plus ``deg_s`` and ``fresh``, whose resting
+      value 0 means "not in the window": a re-peel marks its residual in
+      them and resets them before it returns.
     """
-    n = len(residual)
-    if not n:
-        return [], [], [], False
-    local = {w: i for i, w in enumerate(residual)}
-    inside = set(local)
-    iptr = [0]
-    ind: list[int] = []
-    gdeg: list[int] = []
-    for w in residual:
-        nbrs = graph.neighbors(w)
-        gdeg.append(len(nbrs))
-        ind.extend(map(local.__getitem__, nbrs & inside))
-        iptr.append(len(ind))
-    deg = [iptr[i + 1] - iptr[i] for i in range(n)]
-    low = min(deg)
-    if low < k:
-        w = residual[deg.index(low)]
-        raise IndexStateError(
-            f"A_{k}: residual vertex {w!r} has {low} residual neighbours "
-            f"< k; the re-peel window does not contain every change"
+
+    __slots__ = (
+        "id_of",
+        "label_of",
+        "deg",
+        "cap",
+        "block",
+        "deg_s",
+        "fresh",
+    )
+
+    def __init__(self, graph: Graph) -> None:
+        labels = list(graph.vertices())
+        id_of = dict(zip(labels, range(len(labels))))
+        iptr: list[int] = []
+        ind: list[int] = []
+        for v in labels:
+            iptr.append(len(ind))
+            ind.extend(map(id_of.__getitem__, graph.neighbors(v)))
+        n = len(labels)
+        deg = [len(graph.neighbors(v)) for v in labels]
+        self.id_of = id_of
+        self.label_of = labels
+        self.deg = deg
+        self.cap = deg[:]
+        # Degree 0 is always held, so isolating a vertex never re-levels.
+        start, vli, lvl_val = _rank_ladder({0, *deg})
+        self.block = start
+        super().__init__(iptr, ind, n, ([start[d] for d in deg], vli, lvl_val))
+        self.deg_s = [0] * n
+        self.fresh = [0] * n
+
+    # -- O(deg) patches ------------------------------------------------
+
+    def add_edge(self, u: Vertex, v: Vertex) -> bool:
+        """Record the new edge ``(u, v)``; True when the ladder was rebuilt."""
+        x, y = self._id(u), self._id(v)
+        self._link(x, y)
+        self._link(y, x)
+        return self._rekey(x, y)
+
+    def remove_edge(self, u: Vertex, v: Vertex) -> bool:
+        """Forget the edge ``(u, v)``; True when the ladder was rebuilt."""
+        x, y = self.id_of[u], self.id_of[v]
+        self._unlink(x, y)
+        self._unlink(y, x)
+        return self._rekey(x, y)
+
+    def _id(self, v: Vertex) -> int:
+        x = self.id_of.get(v)
+        if x is None:
+            x = self.id_of[v] = len(self.label_of)
+            self.label_of.append(v)
+            self.iptr.append(len(self.ind))
+            for column in (
+                self.deg, self.cap, self.deg_s, self.fresh, self.rank_of,
+                self.touch_stamp,
+            ):
+                column.append(0)
+            self.lp.append(self.block[0])
+        return x
+
+    def _link(self, x: int, y: int) -> None:
+        ind, d = self.ind, self.deg[x]
+        if d == self.cap[x]:
+            p = self.iptr[x]
+            self.iptr[x] = len(ind)
+            self.cap[x] = 2 * d + 2
+            ind.extend(ind[p : p + d])
+            ind.extend(repeat(0, d + 2))
+        ind[self.iptr[x] + d] = y
+        self.deg[x] = d + 1
+
+    def _unlink(self, x: int, y: int) -> None:
+        ind, p, last = self.ind, self.iptr[x], self.deg[x] - 1
+        ind[ind.index(y, p, p + last + 1)] = ind[p + last]
+        self.deg[x] = last
+
+    def _rekey(self, x: int, y: int) -> bool:
+        deg, block = self.deg, self.block
+        if deg[x] in block and deg[y] in block:
+            self.lp[x] = block[deg[x]]
+            self.lp[y] = block[deg[y]]
+            return False
+        start, self.vli, self.lvl_val = _rank_ladder({*block, deg[x], deg[y]})
+        self.block = start
+        self.lp = [start[d] for d in deg]
+        self._reset_bins()
+        return True
+
+    # -- the window re-peel --------------------------------------------
+
+    def peel_window(
+        self,
+        residual: Sequence[Vertex],
+        first_new: int,
+        k: int,
+        p_plus: float,
+    ) -> tuple[list[Vertex], list[float], list[Vertex], bool]:
+        """Peel the subgraph induced by ``residual`` at fixed ``k``.
+
+        ``residual[:first_new]`` are vertices with an old p-number, in old
+        array order; ``residual[first_new:]`` are new k-core members.
+        Keys use the global degree ``deg_G(v)`` as denominator, so every
+        emitted p-number is the same double a full decomposition stores.
+        Before every round the Theorem 4/9 early stop applies: once the
+        round's level exceeds ``p_plus`` and no new member is still alive,
+        the peel stops and the survivors keep their old p-numbers.
+
+        A correct window's residual is a k-core of the graph (the
+        ``pn >= p_-`` suffix of ``A_k`` is one), so a vertex that starts
+        with fewer than ``k`` residual neighbours means the window is
+        wrong: :class:`~repro.errors.IndexStateError` is raised before
+        anything is peeled.
+
+        Returns ``(order, p_numbers, tail, stopped_early)``; ``tail`` is
+        the survivors in old array order (empty unless the peel stopped
+        early).  Within a round, ``order`` is sorted by state id.
+        """
+        if not residual:
+            return [], [], [], False
+        ids = list(map(self.id_of.__getitem__, residual))
+        iptr, ind, deg, deg_s, fresh = (
+            self.iptr, self.ind, self.deg, self.deg_s, self.fresh
         )
-    # A vertex is killed as soon as its count drops below k, so only
-    # numerators k..d are ever looked up.
-    spans: dict[int, int] = {}
-    for b, d in zip(gdeg, deg):
-        if d > spans.get(b, 0):
-            spans[b] = d
-    ladder = _rank_ladder(
-        {b: (k, d) for b, d in spans.items()}, gdeg, key_scale(max(gdeg))
-    )
-    state = _DrainState(iptr, ind, ladder)
-    deg_s = deg[:]
-    order, p_numbers, stopped = _drain(
-        state, k, range(n), deg, deg_s,
-        stop_rank=bisect_right(state.lvl_val, p_plus),
-        first_new=first_new, pending=n - first_new,
-        obs=None, trace_start=0.0,
-    )
-    km1 = k - 1
-    tail = (
-        [residual[i] for i in range(first_new) if deg_s[i] > km1]
-        if stopped
-        else []
-    )
-    return [residual[i] for i in order], p_numbers, tail, stopped
+        # Mark the residual, then count each member's marked neighbours:
+        # its residual degree, without copying the residual anywhere.
+        for v in ids:
+            deg_s[v] = 1
+        marked: Callable[[int], int] = deg_s.__getitem__
+        counts = [sum(map(marked, ind[iptr[v] : iptr[v] + deg[v]])) for v in ids]
+        new_ids = ids[first_new:]
+        try:
+            low = min(counts)
+            if low < k:
+                w = residual[counts.index(low)]
+                raise IndexStateError(
+                    f"A_{k}: residual vertex {w!r} has {low} residual "
+                    f"neighbours < k; the re-peel window does not contain "
+                    f"every change"
+                )
+            for v, c in zip(ids, counts):
+                deg_s[v] = c
+            for v in new_ids:
+                fresh[v] = 1
+            # Parks: one per member plus at most one per decrement.
+            need = len(ids) + sum(counts)
+            if len(self.arena_vertex) < need:
+                grow = need - len(self.arena_vertex)
+                self.arena_vertex.extend(repeat(0, grow))
+                self.arena_next.extend(repeat(0, grow))
+            order, p_numbers, stopped = _drain(
+                self, k, ids, deg, deg_s,
+                stop_rank=bisect_right(self.lvl_val, p_plus),
+                fresh=fresh, pending=len(new_ids),
+                obs=None, trace_start=0.0,
+            )
+            km1 = k - 1
+            tail = (
+                [w for w, v in zip(residual[:first_new], ids) if deg_s[v] > km1]
+                if stopped
+                else []
+            )
+        finally:
+            for v in ids:
+                deg_s[v] = 0
+            for v in new_ids:
+                fresh[v] = 0
+        labels = self.label_of
+        return [labels[v] for v in order], p_numbers, tail, stopped
 
 
 def _drain(
@@ -426,7 +556,7 @@ def _drain(
     deg_s: list[int],
     *,
     stop_rank: int,
-    first_new: int,
+    fresh: Sequence[int],
     pending: int,
     obs: Instrumentation | None,
     trace_start: float,
@@ -436,8 +566,8 @@ def _drain(
     ``members`` start with ``deg_s >= k`` and are parked at their rank.
     Vertex ``v``'s live neighbours are ``ind[iptr[v] : iptr[v] +
     plen[v]]``.  Before each round the peel stops when the cursor has
-    reached ``stop_rank`` and none of the ``pending`` vertices with id
-    ``>= first_new`` is alive; the third result says whether it did.
+    reached ``stop_rank`` and none of the ``pending`` vertices flagged in
+    ``fresh`` is alive; the third result says whether it did.
     """
     # Local bindings for the interpreter loop (every name below is read
     # O(m_k) times).
@@ -481,6 +611,7 @@ def _drain(
     dirty_append = dirty.append
     tstamp = state.touch_stamp
     stamp = state.stamp
+    is_new: Callable[[int], int] = fresh.__getitem__
     # Loop-local accumulators, flushed to the collector after the loop
     # (KP007); everything else per round is index arithmetic.
     rank_skips = 0
@@ -559,7 +690,7 @@ def _drain(
         pn_extend([lvl_val[cur]] * len(round_buf))  # noqa: KP006 per round
         remaining -= len(round_buf)
         if pending:
-            pending -= len(round_buf) - bisect_left(round_buf, first_new)
+            pending -= sum(map(is_new, round_buf))
         cur += 1
     state.stamp = stamp
     if obs is not None:

@@ -70,6 +70,7 @@ MAINT_ARRAYS_REPEELED = "maintenance.arrays_repeeled"
 MAINT_VERTICES_REPEELED = "maintenance.vertices_repeeled"
 MAINT_PNUMBERS_CHANGED = "maintenance.pnumbers_changed"
 MAINT_EARLY_STOPS = "maintenance.early_stops"
+MAINT_PEEL_STATE_BUILDS = "maintenance.peel_state_builds"
 MAINT_WINDOW_WIDTH = "maintenance.window_width"
 MAINT_WINDOW_P_MINUS = "maintenance.window_p_minus"
 MAINT_WINDOW_P_PLUS = "maintenance.window_p_plus"
@@ -169,6 +170,7 @@ COUNTERS: dict[str, str] = {
     MAINT_VERTICES_REPEELED: "vertices re-peeled across all arrays",
     MAINT_PNUMBERS_CHANGED: "A_k entries whose p-number a re-peel changed (joins and leaves included)",
     MAINT_EARLY_STOPS: "re-peels stopped early at p_+ (Thms. 4/9)",
+    MAINT_PEEL_STATE_BUILDS: "window peel-state builds plus rank-ladder rebuilds (a degree the ladder never held)",
     MAINT_BATCH_BATCHES: "apply_batch calls (one coalesced batch each)",
     MAINT_BATCH_UPDATES: "net updates applied through apply_batch",
     MAINT_BATCH_CANCELLED: "insert+delete pairs cancelled by coalescing",

@@ -5,8 +5,8 @@ p-numbers equal the definition-literal oracle
 :func:`repro.core.naive.naive_p_numbers_fixed_k` — including ties at the
 minimum fraction and degree-violation cascades, where a peel goes wrong
 first — its deletion order is canonical, and a shared scratch gives the
-same output as a fresh one.  The residual entry point
-(:func:`repro.core.peel_flat.peel_residual`) is checked against
+same output as a fresh one.  The window re-peel
+(:meth:`repro.core.peel_flat.PeelState.peel_window`) is checked against
 :meth:`KPIndex.build`, directly and through maintainers.
 """
 
@@ -25,17 +25,16 @@ from repro.graph.adjacency import Graph
 from repro.graph.compact import CompactAdjacency
 from repro.graph.generators import erdos_renyi_gnm
 from repro.kcore.decomposition import core_numbers_compact
-from repro.core import maintenance
 from repro.core.index import KPIndex
 from repro.core.maintenance import KPIndexMaintainer
 from repro.core.naive import naive_p_numbers_fixed_k
 from repro.core.peel_engines import ENGINES, make_scratch
 from repro.core.peel_flat import (
     FlatScratch,
+    PeelState,
     composite_key,
     key_scale,
     peel_fixed_k_flat,
-    peel_residual,
 )
 
 
@@ -260,17 +259,19 @@ class TestEngineScratch:
             assert engine(snapshot, core, k, scratch=scratch) == fresh[k], k
 
 
-class _ResidualSpy:
-    """Wraps the maintainer's residual kernel, recording every call."""
+class _WindowSpy:
+    """Wraps the maintainer's window re-peel, recording every call."""
 
     def __init__(self, monkeypatch):
         self.calls: list[tuple[int, int, bool]] = []
-        monkeypatch.setattr(maintenance, "peel_residual", self)
+        peel_window = PeelState.peel_window
 
-    def __call__(self, graph, residual, first_new, k, p_plus):
-        result = peel_residual(graph, residual, first_new, k, p_plus)
-        self.calls.append((len(residual), first_new, result[3]))
-        return result
+        def spy(state, residual, first_new, k, p_plus):
+            result = peel_window(state, residual, first_new, k, p_plus)
+            self.calls.append((len(residual), first_new, result[3]))
+            return result
+
+        monkeypatch.setattr(PeelState, "peel_window", spy)
 
 
 def _assert_matches_build(maintainer: KPIndexMaintainer) -> None:
@@ -279,7 +280,7 @@ def _assert_matches_build(maintainer: KPIndexMaintainer) -> None:
 
 
 class TestResidualKernel:
-    """peel_residual, the window re-peel of Algorithms 4/5."""
+    """PeelState.peel_window, the window re-peel of Algorithms 4/5."""
 
     def test_boundary_violator_raises(self):
         # Vertex 4 keeps one of its four neighbours in the residual, so it
@@ -289,12 +290,14 @@ class TestResidualKernel:
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
              (0, 4), (4, 5), (4, 6), (4, 7)]
         )
+        state = PeelState(g)
         with pytest.raises(IndexStateError, match="residual vertex 4"):
-            peel_residual(g, [0, 1, 2, 3, 4], 0, 3, 1.0)
+            state.peel_window([0, 1, 2, 3, 4], 0, 3, 1.0)
         # Without the violator the residual is the 3-core and peels
-        # exactly as the index build has it.
-        order, p_numbers, tail, stopped = peel_residual(
-            g, [0, 1, 2, 3], 0, 3, 1.0
+        # exactly as the index build has it — on the same state, whose
+        # window mask the refused call left clean.
+        order, p_numbers, tail, stopped = state.peel_window(
+            [0, 1, 2, 3], 0, 3, 1.0
         )
         assert not stopped and tail == []
         fresh = KPIndex.build(g).array(3).pn_map()
@@ -305,9 +308,10 @@ class TestResidualKernel:
         # ladder no longer holds): the kernel raises, even when it is a
         # new member that would otherwise block the early stop.
         g = Graph([(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (9, 5), (5, 6)])
+        state = PeelState(g)
         for first_new in (5, 4):
             with pytest.raises(IndexStateError, match="residual vertex 9"):
-                peel_residual(g, [0, 1, 2, 3, 9], first_new, 2, 1.0)
+                state.peel_window([0, 1, 2, 3, 9], first_new, 2, 1.0)
 
     #: K5 {0..4} plus vertex 5 on 0, 1 and the pendant 9.  At k=2 vertex
     #: 5 peels at 2/3, then all of the K5 at 4/5.
@@ -321,8 +325,8 @@ class TestResidualKernel:
         # p_+ = 0.7 lies between the two levels: the peel stops after the
         # first round and the survivors come back in old array order.
         g = Graph(self._K5_WITH_EAR)
-        order, p_numbers, tail, stopped = peel_residual(
-            g, self._OLD_ORDER, 6, 2, 0.7
+        order, p_numbers, tail, stopped = PeelState(g).peel_window(
+            self._OLD_ORDER, 6, 2, 0.7
         )
         assert stopped
         assert (order, p_numbers) == ([5], [2 / 3])
@@ -331,12 +335,14 @@ class TestResidualKernel:
     def test_pending_new_member_blocks_early_stop(self):
         # Same residual, but vertex 3 is new (after first_new): the peel
         # may not stop while it is alive, so everything is re-peeled.
+        # Within a round the order is by state id (first-seen graph
+        # order), so the K5 round comes out as 0..4.
         g = Graph(self._K5_WITH_EAR)
-        order, p_numbers, tail, stopped = peel_residual(
-            g, self._OLD_ORDER, 5, 2, 0.7
+        order, p_numbers, tail, stopped = PeelState(g).peel_window(
+            self._OLD_ORDER, 5, 2, 0.7
         )
         assert not stopped and tail == []
-        assert order == [5, 2, 0, 4, 1, 3]
+        assert order == [5, 0, 1, 2, 3, 4]
         fresh = KPIndex.build(g).array(2).pn_map()
         assert dict(zip(order, p_numbers)) == fresh  # noqa: KP002 oracle
 
@@ -347,7 +353,7 @@ class TestResidualKernel:
             [(0, 7), (1, 7), (2, 5), (3, 8), (4, 5), (4, 6), (4, 7), (4, 9),
              (5, 6), (6, 8), (6, 9), (7, 8)]
         )
-        spy = _ResidualSpy(monkeypatch)
+        spy = _WindowSpy(monkeypatch)
         maintainer = KPIndexMaintainer(g)
         maintainer.insert_edge(2, 7)
         assert any(
@@ -362,7 +368,7 @@ class TestResidualKernel:
              (2, 9), (3, 5), (3, 6), (4, 6), (4, 7), (5, 6), (5, 7), (5, 8),
              (6, 7), (7, 8), (7, 9)]
         )
-        spy = _ResidualSpy(monkeypatch)
+        spy = _WindowSpy(monkeypatch)
         maintainer = KPIndexMaintainer(g)
         maintainer.delete_edge(0, 7)
         assert any(
