@@ -7,7 +7,7 @@ import pytest
 from repro.bench.experiments import fig16_rows
 from repro.bench.reporting import print_table
 from repro.core.maintenance import KPIndexMaintainer
-from repro.graph.views import sample_vertices
+from repro.graph.views import ordered_edges, sample_vertices
 
 
 @pytest.mark.parametrize("ratio", (0.2, 0.6, 1.0))
@@ -15,7 +15,7 @@ def test_maintenance_on_samples(benchmark, graphs, ratio):
     sampled = sample_vertices(graphs["orkut"], ratio, seed=19)
     maintainer = KPIndexMaintainer(sampled)
     edges = random.Random(7).sample(
-        list(maintainer.graph.edges()), min(20, maintainer.graph.num_edges)
+        ordered_edges(maintainer.graph), min(20, maintainer.graph.num_edges)
     )
     cursor = {"i": 0}
 

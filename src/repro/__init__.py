@@ -47,7 +47,6 @@ from repro.kcore import (
 from repro.core import (
     KPIndex,
     KPIndexMaintainer,
-    MaintenanceMode,
     build_index,
     kp_core,
     kp_core_decomposition,
@@ -78,7 +77,6 @@ __all__ = [
     "KPIndex",
     "build_index",
     "KPIndexMaintainer",
-    "MaintenanceMode",
     # errors
     "ReproError",
     "GraphError",

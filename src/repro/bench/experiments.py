@@ -20,13 +20,15 @@ from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.compact import CompactAdjacency
 from repro.graph.metrics import summarize
-from repro.graph.views import sample_edges, sample_ratios, sample_vertices
+from repro.graph.views import (
+    ordered_edges, sample_edges, sample_ratios, sample_vertices,
+)
 from repro.kcore.compute import k_core_vertices_compact
 from repro.kcore.decomposition import core_decomposition, core_numbers_compact
 from repro.core.decomposition import kp_core_decomposition
 from repro.core.index import KPIndex
 from repro.core.kpcore import kp_core_vertices_compact
-from repro.core.maintenance import KPIndexMaintainer, MaintenanceMode
+from repro.core.maintenance import KPIndexMaintainer
 from repro.analysis.casestudy import case_study
 from repro.analysis.comparison import compare_cores
 from repro.analysis.engagement import (
@@ -389,7 +391,6 @@ def _maintenance_times(
     graph: Graph,
     batch: int,
     seed: int = 23,
-    mode: MaintenanceMode = MaintenanceMode.RANGE,
     with_metrics: bool = False,
 ) -> tuple[float, float, float, dict[str, int]]:
     """(avg insert, avg delete, rebuild) seconds for one graph, plus the
@@ -398,31 +399,42 @@ def _maintenance_times(
 
     Mirrors the paper's protocol: remove ``batch`` random existing edges,
     insert them back, report per-edge averages, and compare against a full
-    from-scratch decomposition per update.
+    from-scratch decomposition per update.  With ``with_metrics`` the
+    counters also carry ``full_reach_entries``: per op, ``len(A_k)`` for
+    ``k = 2 .. reach`` after it, ``reach`` being the largest old or new
+    endpoint core number (Theorems 2/7) — what re-peeling every reached
+    array in full would re-peel.
     """
     rng = random.Random(seed)
     working = graph.copy()
-    maintainer = KPIndexMaintainer(working, mode=mode)
-    edges = list(working.edges())
+    maintainer = KPIndexMaintainer(working)
+    edges = ordered_edges(working)
     chosen = rng.sample(edges, min(batch, len(edges)))
+    core = maintainer.core_number
 
     counters: dict[str, int] = {}
-    delete_total = 0.0
-    for u, v in chosen:
-        t = measure(
-            lambda u=u, v=v: maintainer.delete_edge(u, v),
-            capture_metrics=with_metrics,
-        )
-        delete_total += t.seconds
-        _merge_counters(counters, t.metrics)
-    insert_total = 0.0
-    for u, v in chosen:
-        t = measure(
-            lambda u=u, v=v: maintainer.insert_edge(u, v),
-            capture_metrics=with_metrics,
-        )
-        insert_total += t.seconds
-        _merge_counters(counters, t.metrics)
+    full_reach = 0
+    totals = []
+    for apply in (maintainer.delete_edge, maintainer.insert_edge):
+        total = 0.0
+        for u, v in chosen:
+            old = max(core(u), core(v))
+            t = measure(
+                lambda u=u, v=v, apply=apply: apply(u, v),
+                capture_metrics=with_metrics,
+            )
+            total += t.seconds
+            _merge_counters(counters, t.metrics)
+            if with_metrics:
+                arrays = maintainer.index.arrays()
+                reach = max(old, core(u), core(v))
+                full_reach += sum(
+                    len(arrays[k]) for k in range(2, reach + 1) if k in arrays
+                )
+        totals.append(total)
+    if with_metrics:
+        counters["full_reach_entries"] = full_reach
+    delete_total, insert_total = totals
     rebuild = measure(lambda: KPIndex.build(graph)).seconds
     n = max(1, len(chosen))
     return insert_total / n, delete_total / n, rebuild, counters
@@ -497,34 +509,24 @@ def fig16_rows(dataset: str = "orkut", batch: int = 25) -> Rows:
 # plots, but implied by its design discussion)
 # ----------------------------------------------------------------------
 def ablation_rows(dataset: str = "gowalla", batch: int = 40) -> Rows:
-    headers = ("variant", "insert_s", "delete_s", "rebuild_s",
-               "repeeled_vertices", "thm6_skips", "early_stops")
-    graph = load_all()[dataset]
-    rows: list[Sequence[object]] = []
-    variants = (
-        ("range", MaintenanceMode.RANGE),
-        ("full-k", MaintenanceMode.FULL_K),
+    """The windows' work against re-peeling every reached array in full.
+
+    One row: per-edge seconds, the entries the windows re-peeled, their
+    Theorem 6 skips and early stops, ``full_reach_entries`` (what a full
+    re-peel of ``A_2 .. A_reach`` per op would have re-peeled) and the
+    entries whose p-number actually changed.
+    """
+    headers = ("dataset", "insert_s", "delete_s", "rebuild_s",
+               "repeeled_vertices", "thm6_skips", "early_stops",
+               "full_reach_entries", "pnumbers_changed")
+    ins, dele, rebuild, counters = _maintenance_times(
+        load_all()[dataset], batch, seed=29, with_metrics=True
     )
-    for label, mode in variants:
-        rng = random.Random(29)
-        working = graph.copy()
-        maintainer = KPIndexMaintainer(working, mode=mode)
-        chosen = rng.sample(list(working.edges()), batch)
-        delete_total = insert_total = 0.0
-        for u, v in chosen:
-            delete_total += measure(
-                lambda u=u, v=v: maintainer.delete_edge(u, v)
-            ).seconds
-        for u, v in chosen:
-            insert_total += measure(
-                lambda u=u, v=v: maintainer.insert_edge(u, v)
-            ).seconds
-        rebuild = measure(lambda: KPIndex.build(graph)).seconds
-        stats = maintainer.stats
-        rows.append(
-            (label, round(insert_total / batch, 5),
-             round(delete_total / batch, 5), round(rebuild, 4),
-             stats.vertices_repeeled, stats.arrays_skipped_theorem6,
-             stats.early_stops)
-        )
-    return headers, rows
+    return headers, [
+        (dataset, round(ins, 5), round(dele, 5), round(rebuild, 4),
+         counters.get(metric_names.MAINT_VERTICES_REPEELED, 0),
+         counters.get(metric_names.MAINT_THM6_SKIPS, 0),
+         counters.get(metric_names.MAINT_EARLY_STOPS, 0),
+         counters["full_reach_entries"],
+         counters.get(metric_names.MAINT_PNUMBERS_CHANGED, 0))
+    ]

@@ -42,7 +42,6 @@ from repro.core.kpcore import (
 )
 from repro.core.maintenance import (
     KPIndexMaintainer,
-    MaintenanceMode,
     MaintenanceStats,
 )
 from repro.core.pvalue import as_fraction, check_p, fraction_threshold
@@ -63,7 +62,6 @@ __all__ = [
     "IndexSpaceStats",
     "build_index",
     "KPIndexMaintainer",
-    "MaintenanceMode",
     "MaintenanceStats",
     "MaterializedIndex",
     "Community",

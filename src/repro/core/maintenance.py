@@ -49,17 +49,13 @@ the serving cache invalidate once instead of once per edge (see
 docs/algorithms.md, "Maintenance").
 
 A window that is too narrow is a bug, not a case: the re-peel raises
-:class:`~repro.errors.IndexStateError` instead of repairing it.
-
-Two modes support the ablation benchmark: ``RANGE`` (the windows above,
-the paper's algorithm) and ``FULL_K`` (skip rules only; every affected
-``A_k`` is re-peeled in full).  Both are property-tested for exact
-agreement with from-scratch decomposition.
+:class:`~repro.errors.IndexStateError` instead of repairing it.  Both
+rules are property-tested for exact agreement with from-scratch
+decomposition.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from bisect import bisect_left
 from typing import Callable, Iterable, Sequence
@@ -89,22 +85,11 @@ from repro.core.peel_flat import PeelState
 from repro.core.pvalue import fraction_value
 
 __all__ = [
-    "MaintenanceMode",
     "MaintenanceStats",
     "BatchReport",
     "coalesce_updates",
     "KPIndexMaintainer",
 ]
-
-
-class MaintenanceMode(enum.Enum):
-    """How aggressively an update narrows the re-peeled region."""
-
-    #: Theorems 2/7 skip rules only; affected arrays re-peel in full.
-    FULL_K = "full-k"
-    #: Additionally narrow each affected array to the ``[p_-, p_+]`` window
-    #: and early-exit via Theorem 6 — the paper's Algorithms 4/5.
-    RANGE = "range"
 
 
 @dataclass
@@ -136,8 +121,8 @@ class BatchReport:
     """What one :meth:`KPIndexMaintainer.apply_batch` call did.
 
     ``windowed_repeels`` counts arrays re-peeled through a ``[p_-, p_+]``
-    window, which only a batch of one net op in ``RANGE`` mode does
-    (membership-churned arrays included, windowed at ``[0, p_+]``);
+    window, which only a batch of one net op does (membership-churned
+    arrays included, windowed at ``[0, p_+]``);
     ``full_repeels`` counts arrays re-peeled in full through the shared
     snapshot — every reached array of a multi-op batch.
     """
@@ -208,8 +193,6 @@ class KPIndexMaintainer:
         The graph to index; the maintainer takes ownership — mutate it only
         through :meth:`insert_edge` / :meth:`delete_edge` /
         :meth:`apply_batch`.
-    mode:
-        See :class:`MaintenanceMode`.
     index:
         An already-built :class:`KPIndex` of exactly ``graph`` — a loaded
         checkpoint in the durability layer (:mod:`repro.service`) — to
@@ -222,11 +205,9 @@ class KPIndexMaintainer:
     def __init__(
         self,
         graph: Graph,
-        mode: MaintenanceMode = MaintenanceMode.RANGE,
         index: KPIndex | None = None,
     ) -> None:
         self.graph = graph
-        self.mode = mode
         #: Write-ahead hooks: each callable receives ``(op, u, v)`` with
         #: ``op`` in ``{"insert", "delete"}`` *before* the update is
         #: applied — the journaling point of :mod:`repro.service`.  A hook
@@ -425,7 +406,6 @@ class KPIndexMaintainer:
         self._update_a1_after_batch(ops)
 
         windowed = 0
-        full_ks: list[int] = []
         # A mover's level never exceeds the op's reach, so this range
         # covers the churned k too.
         for k in range(2, reach + 1):
@@ -433,9 +413,6 @@ class KPIndexMaintainer:
             if obs is not None:
                 obs.inc(metric.MAINT_ARRAYS_EXAMINED)
             array = self._ensure_array(k)
-            if self.mode is MaintenanceMode.FULL_K:
-                full_ks.append(k)
-                continue
             members = None
             if movers and k == k_changed:
                 members = array.vertex_set()
@@ -456,9 +433,7 @@ class KPIndexMaintainer:
                 self._record_window(obs, p_minus, p_plus)
             self._repeel_and_splice(array, members, p_minus, p_plus)
             windowed += 1
-        if full_ks:
-            self._repeel_full_arrays(full_ks)
-        return windowed, len(full_ks)
+        return windowed, 0
 
     def _repeel_reached_arrays(
         self, ops: Sequence[tuple[str, Vertex, Vertex]]
@@ -579,25 +554,16 @@ class KPIndexMaintainer:
         return p_minus, p_plus
 
     def _repeel_full_arrays(
-        self,
-        ks: Sequence[int],
-        snapshot: CompactAdjacency | None = None,
-        core: list[int] | None = None,
+        self, ks: Sequence[int], snapshot: CompactAdjacency, core: list[int]
     ) -> None:
         """Re-peel each ``A_k`` in ``ks`` from scratch with the peel kernel.
 
-        One :class:`CompactAdjacency` snapshot of the live graph is shared
-        by every array, so the per-array marginal cost is the kernel peel
-        itself — the same kernel Algorithm 2 runs, scratch reused across
-        the ks.  A caller that already holds the snapshot and its core
-        numbers (by internal id) passes both; otherwise they are built
-        here from the live graph and the maintained core numbers.
+        ``snapshot`` is the post-batch graph and ``core`` its core numbers
+        by internal id.  The snapshot is shared by every array, so the
+        per-array marginal cost is the kernel peel itself — the same
+        kernel Algorithm 2 runs, scratch reused across the ks.
         """
         obs = get_collector()
-        if snapshot is None or core is None:
-            snapshot = CompactAdjacency(self.graph)
-            cn = self._cores.core_numbers()
-            core = [cn.get(label, 0) for label in snapshot.labels]
         snapshot.sort_neighbors_by_rank_desc(core)
         peel = ENGINES["flat"]
         scratch = make_scratch(snapshot, core)

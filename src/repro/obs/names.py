@@ -176,7 +176,7 @@ COUNTERS: dict[str, str] = {
     MAINT_BATCH_CANCELLED: "insert+delete pairs cancelled by coalescing",
     MAINT_BATCH_ARRAYS: "arrays re-peeled once per batch (windowed + full)",
     MAINT_BATCH_WINDOW_UNIONS: "arrays apply_batch re-peeled through a [p_-, p_+] window (one-op batches only)",
-    MAINT_BATCH_FULL_REPEELS: "arrays apply_batch re-peeled in full (every reached array of a multi-op batch, or FULL_K)",
+    MAINT_BATCH_FULL_REPEELS: "arrays apply_batch re-peeled in full (every reached array of a multi-op batch)",
     INDEX_QUERIES: "KP-Index queries answered (Algorithm 3)",
     INDEX_EMPTY_QUERIES: "queries whose answer was empty",
     INDEX_VERTICES_TOUCHED: "vertices returned across all queries",

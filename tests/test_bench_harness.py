@@ -1,5 +1,9 @@
 """Tests for the benchmark harness (timing, reporting, experiment smoke)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.reporting import (
@@ -219,6 +223,13 @@ class TestMetricColumns:
         (row,) = rows
         assert row[-2] >= 0
 
+    def test_ablation_reports_full_reach_gap(self, tiny_datasets):
+        headers, rows = tiny_datasets.ablation_rows(dataset="tiny", batch=5)
+        assert headers[-2:] == ("full_reach_entries", "pnumbers_changed")
+        (row,) = rows
+        # a window re-peels a subset of each reached array's new members
+        assert 0 < row[4] <= row[7]
+
     def test_default_follows_active_collector(self, tiny_datasets):
         from repro.obs import collecting
 
@@ -227,3 +238,38 @@ class TestMetricColumns:
             headers_on, _ = tiny_datasets.fig13_rows()
         assert "peels" not in headers_off
         assert "peels" in headers_on
+
+
+# Records the (u, v) stream Fig. 15 maintains on the facebook stand-in
+# (string and int labels) without running the updates.
+_FIG15_STREAM = """
+from repro.bench.experiments import _maintenance_times
+from repro.core.maintenance import KPIndexMaintainer
+from repro.datasets import load
+
+stream = []
+
+
+def record(self, u, v):
+    stream.append((u, v))
+
+
+KPIndexMaintainer.delete_edge = KPIndexMaintainer.insert_edge = record
+_maintenance_times(load("facebook"), 25)
+print(repr(stream))
+"""
+
+
+def test_fig15_stream_does_not_follow_string_hash():
+    streams = [
+        subprocess.run(
+            [sys.executable, "-c", _FIG15_STREAM],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert streams[0].count("(") == 50
+    assert streams[0] == streams[1]

@@ -4,7 +4,10 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.graph.generators import erdos_renyi_gnm
-from repro.graph.views import sample_edges, sample_ratios, sample_vertices
+from repro.graph.adjacency import Graph
+from repro.graph.views import (
+    ordered_edges, sample_edges, sample_ratios, sample_vertices,
+)
 
 
 @pytest.fixture
@@ -63,6 +66,13 @@ class TestEdgeSampling:
     def test_invalid_ratio_raises(self, base):
         with pytest.raises(ParameterError):
             sample_edges(base, 0.0)
+
+
+def test_ordered_edges_sorts_mixed_labels_once_per_edge():
+    g = Graph([("b", "a"), (3, "a"), (2, 1), ("z", 1), (2, "a")])
+    assert ordered_edges(g) == [
+        (1, 2), (1, "z"), (2, "a"), (3, "a"), ("a", "b"),
+    ]
 
 
 def test_paper_sampling_grid():

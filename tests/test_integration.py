@@ -20,7 +20,6 @@ from repro import (
     write_edge_list,
 )
 from repro.analysis.comparison import compare_cores
-from repro.core.maintenance import MaintenanceMode
 from repro.datasets import load, simulate_checkins
 from repro.datasets.dblp import generate_corpus
 
@@ -52,7 +51,7 @@ class TestDatasetPipeline:
 class TestDynamicPipeline:
     def test_maintained_index_serves_queries_through_updates(self):
         g = load("brightkite").copy()
-        maintainer = KPIndexMaintainer(g, mode=MaintenanceMode.RANGE)
+        maintainer = KPIndexMaintainer(g)
         rng = random.Random(99)
         edges = rng.sample(list(maintainer.graph.edges()), 15)
         for u, v in edges:

@@ -18,7 +18,7 @@ from repro.graph.adjacency import Graph
 from repro.core.decomposition import kp_core_decomposition, p_numbers_fixed_k
 from repro.core.index import KPIndex
 from repro.core.kpcore import kp_core_vertices, satisfies_kp_constraints
-from repro.core.maintenance import KPIndexMaintainer, MaintenanceMode
+from repro.core.maintenance import KPIndexMaintainer
 from repro.core.naive import naive_kp_core_vertices
 from repro.kcore.decomposition import core_decomposition
 from repro.kcore.maintenance import CoreMaintainer
@@ -137,9 +137,7 @@ def test_core_maintenance_equals_recomputation(edges, seed):
 @settings(max_examples=40, deadline=None)
 def test_index_maintenance_equals_rebuild(edges, seed):
     g = graph_from(edges)
-    maintainer = KPIndexMaintainer(
-        g.copy(), mode=MaintenanceMode.RANGE
-    )
+    maintainer = KPIndexMaintainer(g.copy())
     rng = random.Random(seed)
     live = list(maintainer.graph.edges())
     for _ in range(6):
@@ -217,9 +215,7 @@ def test_maintainer_resumed_from_loaded_index_stays_exact(edges, seed):
 def test_index_maintenance_with_vertex_dynamics(edges, seed):
     """Mixed vertex and edge updates keep the index exact."""
     g = graph_from(edges)
-    maintainer = KPIndexMaintainer(
-        g.copy(), mode=MaintenanceMode.RANGE
-    )
+    maintainer = KPIndexMaintainer(g.copy())
     rng = random.Random(seed)
     next_label = MAX_N
     for _ in range(6):
