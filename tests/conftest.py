@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core.maintenance import KPIndexMaintainer
 from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi_gnm
 
@@ -75,3 +76,27 @@ def random_graph_factory():
         return erdos_renyi_gnm(n, min(m, max_edges), seed=seed)
 
     return factory
+
+
+class FullRepeelMaintainer(KPIndexMaintainer):
+    """A maintainer that runs every net op through the multi-op rule.
+
+    Each op, a single edge included, re-peels ``A_2 .. A_reach`` in full
+    from one decomposition of the post-op graph instead of running the
+    Algorithm 4/5 windows, so the single-edge tests also hold the
+    full re-peel path to their oracles.
+    """
+
+    def _apply_batch_impl(self, ops):
+        return 0, self._repeel_reached_arrays(ops)
+
+
+@pytest.fixture(
+    params=[KPIndexMaintainer, FullRepeelMaintainer],
+    # The case ids keep the names these cases had when the two rules
+    # were the maintainer's RANGE and FULL_K modes.
+    ids=["MaintenanceMode.RANGE", "MaintenanceMode.FULL_K"],
+)
+def maintainer_cls(request):
+    """The windowed maintainer, then one that re-peels reached arrays in full."""
+    return request.param
