@@ -30,8 +30,9 @@ import hashlib
 import json
 import os
 import tempfile
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Iterable, KeysView, Mapping, Sequence
 
 from repro.errors import (
@@ -110,10 +111,27 @@ class KArray:
         self._rebuild_levels()
 
     def _rebuild_levels(self) -> None:
-        values: list[float] = []
-        starts: list[int] = []
-        previous: float | None = None
-        for i, pn in enumerate(self.p_numbers):
+        self.level_values = []
+        self.level_starts = []
+        self._append_levels(0, len(self.p_numbers))
+        self._slices = [None] * len(self.level_values)
+        self._pn_of = dict(zip(self.vertices, self.p_numbers))
+        if len(self._pn_of) != len(self.vertices):
+            raise IndexStateError(f"A_{self.k}: duplicate vertex in V_k")
+
+    def _append_levels(self, start: int, stop: int) -> None:
+        """Append the ``P_k`` levels that begin in ``p_numbers[start:stop]``.
+
+        The entry before ``start`` closes the existing levels; a run that
+        continues it starts no new level.  Checks sortedness across the
+        whole stretch.  One iteration per level, not per entry: each run
+        of equal p-numbers is consumed by ``groupby``.
+        """
+        p_numbers = self.p_numbers
+        values, starts = self.level_values, self.level_starts
+        previous = p_numbers[start - 1] if start else None
+        i = start
+        for pn, run in groupby(p_numbers[start:stop]):
             if previous is not None and pn < previous:
                 raise IndexStateError(
                     f"A_{self.k}: p-numbers not sorted at position {i}"
@@ -123,12 +141,7 @@ class KArray:
                 values.append(pn)
                 starts.append(i)
                 previous = pn
-        self.level_values = values
-        self.level_starts = starts
-        self._slices = [None] * len(values)
-        self._pn_of = dict(zip(self.vertices, self.p_numbers))
-        if len(self._pn_of) != len(self.vertices):
-            raise IndexStateError(f"A_{self.k}: duplicate vertex in V_k")
+            i += len(list(run))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -247,18 +260,56 @@ class KArray:
         Keeps the existing prefix of vertices with ``pn < keep_below`` (in
         order), then appends the recomputed segment, then the given tail
         vertices with their existing p-numbers.  The caller guarantees the
-        pieces are disjoint and level-sorted overall; ``__post_init__``
-        invariants are re-checked.
+        pieces are disjoint and level-sorted overall; the sortedness and
+        duplicate checks of ``__post_init__`` still run.
+
+        The arrays are spliced in place and only the replaced stretch is
+        re-indexed.  When the tail is already the array's end — the
+        Theorem 4/9 early stop leaves the survivors there, in order — it
+        stays where it is and its levels only shift, so the cost follows
+        the re-peeled window, not ``|V_k|``.
         """
-        prefix_end = bisect_left(self.p_numbers, keep_below)
-        new_vertices = self.vertices[:prefix_end] + list(segment_vertices)
-        new_p_numbers = self.p_numbers[:prefix_end] + list(segment_p_numbers)
-        for v in tail_from:
-            new_vertices.append(v)
-            new_p_numbers.append(self._pn_of[v])
-        self.vertices = new_vertices
-        self.p_numbers = new_p_numbers
-        self._rebuild_levels()
+        vertices, p_numbers, pn_of = self.vertices, self.p_numbers, self._pn_of
+        seam = bisect_left(p_numbers, keep_below)
+        tail = list(tail_from)
+        end = len(vertices) - len(tail)
+        if tail and end >= seam and vertices[end:] == tail:
+            middle = list(segment_vertices)
+            middle_pns = list(segment_p_numbers)
+        else:
+            end = len(vertices)
+            middle = [*segment_vertices, *tail]
+            middle_pns = [*segment_p_numbers, *(pn_of[v] for v in tail)]
+        if 2 * (end - seam) < len(vertices):
+            # Re-peeled vertices are overwritten; only leavers go.
+            for v in set(vertices[seam:end]).difference(middle):
+                del pn_of[v]
+            pn_of.update(zip(middle, middle_pns))
+            vertices[seam:end] = middle
+            p_numbers[seam:end] = middle_pns
+        else:
+            vertices[seam:end] = middle
+            p_numbers[seam:end] = middle_pns
+            # Most of the array was replaced: one C-level rebuild of the
+            # map costs less than finding the leavers.
+            self._pn_of = pn_of = dict(zip(vertices, p_numbers))
+        # P_k: levels starting before the seam stay, levels starting inside
+        # the kept tail (after its head) shift, and the stretch from the
+        # seam through the tail head is scanned again.
+        values, starts = self.level_values, self.level_starts
+        after = bisect_right(starts, end)
+        new_end = seam + len(middle)
+        tail_values = values[after:]
+        tail_starts = [s + new_end - end for s in starts[after:]]
+        kept = bisect_left(starts, seam)
+        del values[kept:], starts[kept:]
+        self._append_levels(seam, new_end + 1)
+        values.extend(tail_values)
+        starts.extend(tail_starts)
+        # Every cached slice includes the spliced stretch.
+        self._slices = [None] * len(values)
+        if len(pn_of) != len(vertices):
+            raise IndexStateError(f"A_{self.k}: duplicate vertex in V_k")
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -482,6 +533,17 @@ class KPIndex:
             two_m=2 * self._num_edges,
         )
 
+    def core_numbers(self, vertices: Iterable[Vertex]) -> dict[Vertex, int]:
+        """``cn(w) = max{k : w ∈ A_k}`` for every vertex in ``vertices``.
+
+        The arrays are the k-cores, so the index already holds every core
+        number; a vertex in no array (an isolated one) gets 0.
+        """
+        core = dict.fromkeys(vertices, 0)
+        for k in sorted(self._arrays):
+            core.update(dict.fromkeys(self._arrays[k].vertices, k))
+        return core
+
     def validate(self) -> None:
         """Check structural invariants; raises :class:`IndexStateError`.
 
@@ -621,7 +683,9 @@ class KPIndex:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle)
+                # One C-encoded string: byte-identical to json.dump, which
+                # runs the pure-Python encoder chunk by chunk.
+                handle.write(json.dumps(document))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, path)

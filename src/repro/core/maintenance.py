@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from bisect import bisect_left
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from repro.devtools.contracts import (
     verify_batch_state,
@@ -75,6 +75,12 @@ from repro.errors import (
 )
 from repro.graph.adjacency import Graph, Vertex
 from repro.graph.compact import CompactAdjacency
+from repro.graph.fingerprint import (
+    GraphFingerprint,
+    edge_digest,
+    edge_multiset_hash,
+    format_edge_hash,
+)
 from repro.kcore.decomposition import core_numbers_compact
 from repro.kcore.maintenance import CoreMaintainer
 from repro.obs import names as metric
@@ -87,6 +93,7 @@ from repro.core.pvalue import fraction_value
 __all__ = [
     "MaintenanceStats",
     "BatchReport",
+    "EdgePresence",
     "coalesce_updates",
     "KPIndexMaintainer",
 ]
@@ -134,8 +141,15 @@ class BatchReport:
     full_repeels: int = 0
 
 
+class EdgePresence(Protocol):
+    """What :func:`coalesce_updates` validates against: a :class:`Graph`,
+    or an edge set laid over one (journal recovery)."""
+
+    def has_edge(self, u: Vertex, v: Vertex) -> bool: ...
+
+
 def coalesce_updates(
-    graph: Graph, updates: Iterable[tuple[str, Vertex, Vertex]]
+    graph: EdgePresence, updates: Iterable[tuple[str, Vertex, Vertex]]
 ) -> tuple[list[tuple[str, Vertex, Vertex]], int]:
     """Validate a mixed batch and reduce it to net per-edge operations.
 
@@ -200,6 +214,17 @@ class KPIndexMaintainer:
         is responsible for the graph/index pairing (the service layer
         verifies it via graph fingerprints); the index is structurally
         :meth:`~KPIndex.validate`-d here.
+
+    Core numbers are read from the index (:meth:`KPIndex.core_numbers`),
+    so opening a checkpoint does not decompose the graph again.
+
+    The maintainer can also keep the graph's edge hash (the
+    :class:`~repro.graph.fingerprint.GraphFingerprint` ``edge_hash``)
+    current: :meth:`fingerprint` computes it from the graph on first
+    request — or :meth:`adopt_fingerprint` takes a fingerprint already
+    verified against the graph — and from then on every applied net op
+    toggles its :func:`~repro.graph.fingerprint.edge_digest`.  A
+    maintainer that is never fingerprinted pays nothing for it.
     """
 
     def __init__(
@@ -222,23 +247,52 @@ class KPIndexMaintainer:
         self.batch_hooks: list[
             Callable[[Sequence[tuple[str, Vertex, Vertex]]], None]
         ] = []
-        self._cores = CoreMaintainer(graph)
         if index is None:
-            self.index = KPIndex.build(graph)
+            index = KPIndex.build(graph)
         else:
             index.validate()
-            self.index = index
+        self.index = index
+        self._cores = CoreMaintainer(graph, index.core_numbers(graph.vertices()))
         self.stats = MaintenanceStats()
         #: The window re-peels' int-id adjacency, rank ladder and drain
         #: buffers: built at the first window re-peel, patched per single
         #: op, dropped by multi-op batches and vertex insert/delete.
         self._peel_state: PeelState | None = None
+        #: XOR of the edge digests of ``graph``, or ``None`` until the
+        #: first :meth:`fingerprint` / :meth:`adopt_fingerprint`.
+        self._edge_hash: int | None = None
 
     # ------------------------------------------------------------------
     # public accessors
     # ------------------------------------------------------------------
     def core_number(self, v: Vertex) -> int:
         return self._cores.core_number(v)
+
+    def fingerprint(self) -> GraphFingerprint:
+        """The graph's :class:`GraphFingerprint` from the running edge hash.
+
+        Equal to :func:`~repro.graph.fingerprint.graph_fingerprint` of
+        the graph; the edge hash is computed from the graph only on the
+        first request (unless :meth:`adopt_fingerprint` supplied it), and
+        kept current by every update after that.
+        """
+        if self._edge_hash is None:
+            self._edge_hash = int(edge_multiset_hash(self.graph.edges()), 16)
+        graph = self.graph
+        return GraphFingerprint(
+            num_vertices=graph.num_vertices,
+            num_edges=graph.num_edges,
+            edge_hash=format_edge_hash(self._edge_hash),
+        )
+
+    def adopt_fingerprint(self, fingerprint: GraphFingerprint) -> None:
+        """Start the running edge hash from ``fingerprint``, unhashed.
+
+        The caller vouches that ``fingerprint`` matches the current graph
+        (:meth:`GraphFingerprint.matches` — the durability layer has just
+        checked exactly that when it opens a checkpoint).
+        """
+        self._edge_hash = int(fingerprint.edge_hash, 16)
 
     @verify_maintainer_query
     def query(self, k: int, p: float) -> list[Vertex]:
@@ -371,6 +425,7 @@ class KPIndexMaintainer:
         """Apply coalesced ``ops``; returns (windowed, full) re-peel counts."""
         if len(ops) > 1:
             return 0, self._repeel_reached_arrays(ops)
+        self._toggle_edge_hash(ops)
         entry = ops[0]
         op, u, v = entry
         obs = get_collector()
@@ -453,6 +508,7 @@ class KPIndexMaintainer:
         endpoints = {w for _, u, v in ops for w in (u, v)}
         reach = max(self._cores.core_number_or(w) for w in endpoints)
         self._peel_state = None
+        self._toggle_edge_hash(ops)
         graph = self.graph
         for op, u, v in ops:
             if op == "insert":
@@ -669,6 +725,15 @@ class KPIndexMaintainer:
             if old != pn:  # noqa: KP002
                 changed += 1
         return changed + scope - stayed
+
+    def _toggle_edge_hash(
+        self, ops: Sequence[tuple[str, Vertex, Vertex]]
+    ) -> None:
+        """Keep the running edge hash current: each net op, insert or
+        delete, toggles its edge's digest (XOR is its own inverse)."""
+        if self._edge_hash is not None:
+            for _, u, v in ops:
+                self._edge_hash ^= edge_digest(u, v)
 
     def _count_state_build(self, obs: Instrumentation | None) -> None:
         self.stats.peel_state_builds += 1

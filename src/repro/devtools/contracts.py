@@ -11,7 +11,9 @@ their outputs against the paper's definitions:
 * :func:`verify_maintainer_update` — after every edge update the endpoint
   p-numbers respect the bounds sandwich ``p_ <= pn(v,k) <= f(v)`` (the
   first peel level below, the one-hop k-core fraction above) and, on
-  small graphs, the whole index re-validates,
+  small graphs, the whole index re-validates and the maintainer's running
+  graph fingerprint equals a full rehash
+  (:func:`check_running_fingerprint`),
 * :func:`verify_maintainer_query` — KP-Index answers equal from-scratch
   :func:`repro.core.kpcore.kp_core_vertices`.
 
@@ -38,6 +40,7 @@ __all__ = [
     "check_bounds_sandwich",
     "check_query_result",
     "check_index_against_scratch",
+    "check_running_fingerprint",
     "verify_kp_core",
     "verify_decomposition",
     "verify_maintainer_update",
@@ -207,6 +210,24 @@ def check_index_against_scratch(graph: Any, index: Any) -> None:
         )
 
 
+def check_running_fingerprint(maintainer: Any) -> None:
+    """The maintainer's running fingerprint equals a rehash of its graph.
+
+    :meth:`~repro.core.maintenance.KPIndexMaintainer.fingerprint` keeps
+    the edge hash current by toggling one digest per applied op; a missed
+    or doubled toggle shows up here as a mismatch.
+    """
+    from repro.graph.fingerprint import graph_fingerprint
+
+    running = maintainer.fingerprint()
+    rehashed = graph_fingerprint(maintainer.graph)
+    if running != rehashed:
+        raise ContractViolationError(
+            f"running graph fingerprint {running} differs from a rehash "
+            f"of the graph {rehashed}"
+        )
+
+
 # ----------------------------------------------------------------------
 # decorators
 # ----------------------------------------------------------------------
@@ -241,7 +262,8 @@ def verify_maintainer_update(fn: _F) -> _F:
 
     After the update: endpoint p-numbers respect the bounds sandwich in
     every affected array; on small graphs (``FULL_CHECK_EDGE_LIMIT``)
-    additionally the global lower bound and full index validation.
+    additionally the global lower bound, full index validation and the
+    running graph fingerprint.
     """
 
     @functools.wraps(fn)
@@ -273,7 +295,7 @@ def verify_batch_state(maintainer: Any, endpoints: Iterable[Any]) -> None:
     Not a decorator: a batch's endpoints are only known after the update
     iterable is consumed, so :meth:`KPIndexMaintainer.apply_batch` calls
     this explicitly once the batch has been applied.  Runs the same
-    bounds-sandwich / full-validation checks as
+    bounds-sandwich / full-validation / fingerprint checks as
     :func:`verify_maintainer_update`, over every batch endpoint at once.
     """
     if _active:
@@ -295,3 +317,4 @@ def _check_maintainer_state(maintainer: Any, endpoints: tuple[Any, Any]) -> None
         check_bounds_sandwich(graph, array, endpoints, check_lower=small)
     if small:
         maintainer.index.validate()
+        check_running_fingerprint(maintainer)

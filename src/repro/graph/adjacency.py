@@ -218,7 +218,9 @@ class Graph:
         """Return the subgraph induced by ``vertices``.
 
         Unknown vertices raise :class:`~repro.errors.VertexNotFoundError`;
-        that surfaces typos instead of silently shrinking the result.
+        that surfaces typos instead of silently shrinking the result.  The
+        kept vertices enter the subgraph in this graph's own order, so the
+        result does not depend on set iteration (the string hash).
         """
         keep = set()
         for v in vertices:
@@ -226,8 +228,10 @@ class Graph:
                 raise VertexNotFoundError(v)
             keep.add(v)
         sub = Graph()
-        for v in keep:
+        order = [v for v in self._adj if v in keep]
+        for v in order:
             sub.add_vertex(v)
+        for v in order:
             for w in self._adj[v]:
                 if w in keep:
                     sub.add_edge(v, w)

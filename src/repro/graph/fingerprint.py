@@ -12,6 +12,12 @@ edge is canonicalized to a sorted label pair and the per-edge SHA-256
 digests are combined with XOR, which is commutative and associative.  Two
 graphs with the same vertex labels and edge set always produce the same
 fingerprint, whatever order their edges were inserted in.
+
+XOR is also its own inverse, so the hash can be kept current under edge
+updates: inserting or deleting an edge toggles its :func:`edge_digest`.
+:class:`~repro.core.maintenance.KPIndexMaintainer` keeps a running hash
+that way, and the durability layer stamps checkpoints with it instead of
+rehashing the whole graph.
 """
 
 from __future__ import annotations
@@ -23,7 +29,13 @@ from typing import Iterable, Mapping
 from repro.errors import IndexPersistenceError
 from repro.graph.adjacency import Edge, Graph
 
-__all__ = ["GraphFingerprint", "graph_fingerprint", "edge_multiset_hash"]
+__all__ = [
+    "GraphFingerprint",
+    "graph_fingerprint",
+    "edge_multiset_hash",
+    "edge_digest",
+    "format_edge_hash",
+]
 
 _HASH_BYTES = 16  # 128 bits of the SHA-256 digest; plenty for corruption checks
 
@@ -38,13 +50,23 @@ def _edge_token(u: object, v: object) -> bytes:
     return f"{a}\x1f{b}".encode("utf-8")
 
 
+def edge_digest(u: object, v: object) -> int:
+    """The per-edge term of the edge hash (either orientation)."""
+    digest = hashlib.sha256(_edge_token(u, v)).digest()[:_HASH_BYTES]
+    return int.from_bytes(digest, "big")
+
+
+def format_edge_hash(combined: int) -> str:
+    """Hex rendering of an XOR of :func:`edge_digest` terms."""
+    return format(combined, f"0{2 * _HASH_BYTES}x")
+
+
 def edge_multiset_hash(edges: Iterable[Edge]) -> str:
     """Hex digest of an edge multiset, independent of iteration order."""
     combined = 0
     for u, v in edges:
-        digest = hashlib.sha256(_edge_token(u, v)).digest()[:_HASH_BYTES]
-        combined ^= int.from_bytes(digest, "big")
-    return format(combined, f"0{2 * _HASH_BYTES}x")
+        combined ^= edge_digest(u, v)
+    return format_edge_hash(combined)
 
 
 @dataclass(frozen=True)

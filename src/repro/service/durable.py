@@ -23,11 +23,18 @@ The invariants that make crashes survivable:
    previous manifest/checkpoint pair fully intact.
 3. **Recovery = checkpoint + tail replay**: opening a directory loads the
    manifest's checkpoint (fingerprint-verified against the reloaded
-   graph), then replays exactly the journal records with ``seq`` greater
-   than the checkpoint cut.  Replay skips records whose application
-   fails with a :class:`~repro.errors.GraphError` (an update journaled
-   but never applied, or a no-op duplicate) — deterministic, because
-   direct application enforces the same rule.
+   graph; the core numbers are read from the loaded index and the
+   verified fingerprint seeds the maintainer's running edge hash), then
+   replays exactly the journal records with ``seq`` greater than the
+   checkpoint cut.  Each record is validated, in order, against the edge
+   set the records before it left; a record that fails with a
+   :class:`~repro.errors.GraphError` (an update journaled but never
+   applied, or a no-op duplicate) is skipped whole — deterministic,
+   because direct application enforces the same rule.  The net
+   difference of the surviving records against the checkpoint graph is
+   then applied as **one** coalesced batch, so a tail costs one re-peel,
+   not one per record; every endpoint of a surviving record's net ops
+   becomes a vertex, exactly as record-by-record replay leaves it.
 
 Vertex labels must survive both JSON and edge-list text round-trips: use
 ints or whitespace-free strings (mixing the two in one graph is not
@@ -50,10 +57,9 @@ from repro.errors import (
     ParameterError,
 )
 from repro.graph.adjacency import Graph, Vertex
-from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.core.index import KPIndex
-from repro.core.maintenance import KPIndexMaintainer
+from repro.core.maintenance import KPIndexMaintainer, coalesce_updates
 from repro.obs import names as metric
 from repro.obs.instrumentation import get_collector
 from repro.service.journal import (
@@ -156,6 +162,39 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+class _TailEdges:
+    """The checkpoint graph's edge set with journal records laid over it.
+
+    ``changed`` maps each edge a surviving record touched, keyed by its
+    first-seen orientation, to its presence after the records so far;
+    the graph itself is not mutated.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+        self.changed: dict[tuple[Vertex, Vertex], bool] = {}
+
+    def _key(self, u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
+        return (v, u) if (v, u) in self.changed else (u, v)
+
+    def has_edge(self, u: Vertex, v: Vertex) -> bool:
+        present = self.changed.get(self._key(u, v))
+        return self.graph.has_edge(u, v) if present is None else present
+
+    def apply(self, ops: Iterable[tuple[str, Vertex, Vertex]]) -> None:
+        for op, u, v in ops:
+            self.changed[self._key(u, v)] = op == OP_INSERT
+
+    def net_ops(self) -> list[tuple[str, Vertex, Vertex]]:
+        """The net difference against the graph, in first-touch order."""
+        has_edge = self.graph.has_edge
+        return [
+            (OP_INSERT if present else OP_DELETE, u, v)
+            for (u, v), present in self.changed.items()
+            if present != has_edge(u, v)
+        ]
+
+
 class DurableMaintainer:
     """A :class:`KPIndexMaintainer` whose state survives the process.
 
@@ -220,6 +259,9 @@ class DurableMaintainer:
         if manifest is not None:
             checkpoint_seq, graph, index = self._load_checkpoint(manifest)
         self.maintainer = KPIndexMaintainer(graph, index=index)
+        if index is not None and index.fingerprint is not None:
+            # _load_checkpoint has just verified it against the graph.
+            self.maintainer.adopt_fingerprint(index.fingerprint)
         tail = read_journal(journal_path, after_seq=checkpoint_seq)
         replay_skipped = self._replay(tail)
         if has_state:
@@ -427,7 +469,7 @@ class DurableMaintainer:
         _atomic_write_text(self._path(graph_name), buffer.getvalue())
         self._fault("graph-written")
         self.maintainer.index.save(
-            self._path(index_name), fingerprint=graph_fingerprint(graph)
+            self._path(index_name), fingerprint=self.maintainer.fingerprint()
         )
         self._fault("index-written")
 
@@ -544,26 +586,51 @@ class DurableMaintainer:
         return seq, graph, index
 
     def _replay(self, tail: list[JournalRecord]) -> int:
-        """Apply the journal tail; GraphError records are skipped.
+        """Apply the journal tail as one net batch; GraphError records are
+        skipped.
 
-        Skipping is sound *and* required: the journal is written ahead of
-        application, so a record may describe an update that failed (or
-        never ran) before the crash — exactly the updates that raise
-        :class:`~repro.errors.GraphError` when replayed.
+        Each record is coalesced and validated, in order, against the
+        edge set the surviving records before it left (:class:`_TailEdges`)
+        — the same check direct application runs.  Skipping is sound
+        *and* required: the journal is written ahead of application, so a
+        record may describe an update that failed (or never ran) before
+        the crash — exactly the updates that raise
+        :class:`~repro.errors.GraphError` here.  A journaled batch passed
+        whole-batch validation, so it is skipped or kept whole too.
+
+        Every endpoint of a surviving record's net ops becomes a vertex
+        (an edge inserted by one record and deleted by a later one leaves
+        its endpoints isolated, as record-by-record replay does), and the
+        net difference against the checkpoint graph goes through one
+        :meth:`~repro.core.maintenance.KPIndexMaintainer.apply_batch`:
+        nothing for no net op, the windows for one, one decomposition and
+        full re-peels for more.
         """
+        graph = self.maintainer.graph
+        edges = _TailEdges(graph)
+        fresh: dict[Vertex, None] = {}
         skipped = 0
+        ops: Sequence[tuple[str, Vertex, Vertex]]
         for record in tail:
+            if record.op == OP_BATCH:
+                ops = record.ops or ()
+            else:
+                ops = ((record.op, record.u, record.v),)
             try:
-                if record.op == OP_BATCH:
-                    # A journaled batch passed whole-batch validation, so
-                    # replay is all-or-nothing too: GraphError here means
-                    # the record describes a batch that never applied
-                    # against *this* state — skip the whole record.
-                    self.maintainer.apply_batch(record.ops or ())
-                else:
-                    self._apply_one(record.op, record.u, record.v)
+                net, _ = coalesce_updates(edges, ops)
             except GraphError:
                 skipped += 1
+                continue
+            edges.apply(net)
+            for _, u, v in net:
+                for w in (u, v):
+                    if w not in graph:
+                        fresh[w] = None
+        for w in fresh:
+            self.maintainer.insert_vertex(w)
+        net_ops = edges.net_ops()
+        if net_ops:
+            self.maintainer.apply_batch(net_ops)
         self.stats.replayed += len(tail)
         self.stats.skipped += skipped
         return skipped

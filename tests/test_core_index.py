@@ -1,5 +1,8 @@
 """Unit tests for the KP-Index and Algorithm 3 (kpCoreQuery)."""
 
+import random
+from bisect import bisect_left
+
 import pytest
 
 from repro.errors import IndexStateError, ParameterError
@@ -82,6 +85,62 @@ class TestKArray:
         )
         assert tied.vertices == [1, 4, 2, 3, 5]
         assert tied.p_numbers == [0.2, 0.4, 0.5, 0.5, 0.9]  # noqa: KP002 oracle
+
+    @staticmethod
+    def _assert_like_fresh(array):
+        fresh = KArray(k=array.k, vertices=list(array.vertices),
+                       p_numbers=list(array.p_numbers))
+        assert array.level_values == fresh.level_values  # noqa: KP002 exact-double oracle
+        assert array.level_starts == fresh.level_starts
+        assert array.pn_map() == fresh.pn_map()  # noqa: KP002 exact-double oracle
+        levels = len(fresh.level_values)
+        assert [array.slice_at(j) for j in range(levels + 1)] == [
+            fresh.slice_at(j) for j in range(levels + 1)
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_splices_equal_a_fresh_array(self, seed):
+        # The splice truncates at the seam and re-indexes only the suffix;
+        # after every splice the array must be indistinguishable from one
+        # built from scratch on the same vertices and p-numbers, cached
+        # slices included.
+        rng = random.Random(seed)
+        grid = [i / 8 for i in range(9)]
+        size = rng.randint(0, 12)
+        array = KArray(k=3, vertices=list(range(size)),
+                       p_numbers=sorted(rng.choice(grid) for _ in range(size)))
+        fresh_labels = iter(range(100, 10**6))
+        for _ in range(40):
+            for j in range(len(array.level_values)):
+                if rng.random() < 0.5:
+                    array.slice_at(j)  # a cached slice must not survive
+            keep_below = rng.choice(grid)
+            seam = bisect_left(array.p_numbers, keep_below)
+            suffix = array.vertices[seam:]
+            cut = rng.randint(0, len(suffix))
+            tail = suffix[cut:]
+            if rng.random() < 0.3:
+                # Not the array's end: the dropped vertices leave A_k.
+                tail = [v for v in tail if rng.random() < 0.7]
+            ceiling = array.p_number(tail[0]) if tail else 1.0
+            floor = array.p_numbers[seam - 1] if seam else 0.0
+            levels = [p for p in grid if max(floor, keep_below) <= p <= ceiling]
+            reused = [v for v in suffix[:cut] if rng.random() < 0.7]
+            segment = reused + [next(fresh_labels)
+                                for _ in range(rng.randint(0, 3))]
+            rng.shuffle(segment)
+            segment_pns = sorted(rng.choice(levels) for _ in segment)
+            array.replace_segment(keep_below, segment, segment_pns, tail)
+            self._assert_like_fresh(array)
+
+    def test_splice_keeps_its_invariant_checks(self):
+        array = KArray(k=2, vertices=[1, 2, 3], p_numbers=[0.2, 0.5, 0.7])
+        with pytest.raises(IndexStateError, match="not sorted"):
+            # The segment starts below the kept prefix: unsorted seam.
+            array.replace_segment(0.5, [2, 3], [0.1, 0.7])
+        array = KArray(k=2, vertices=[1, 2, 3], p_numbers=[0.2, 0.5, 0.7])
+        with pytest.raises(IndexStateError, match="duplicate"):
+            array.replace_segment(0.5, [1, 3], [0.5, 0.7])
 
 
 class TestIndexQueries:

@@ -1,5 +1,9 @@
 """Unit tests for the dynamic adjacency-set Graph."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import (
@@ -150,6 +154,34 @@ class TestDerivedGraphs:
     def test_induced_subgraph_unknown_vertex_raises(self, triangle):
         with pytest.raises(VertexNotFoundError):
             triangle.induced_subgraph([0, 9])
+
+    def test_induced_subgraph_keeps_the_graph_order(self):
+        g = Graph([("c", "a"), ("a", "b"), ("b", "d"), ("d", "c")])
+        sub = g.induced_subgraph(["d", "b", "c"])
+        assert list(sub.vertices()) == ["c", "b", "d"]
+
+    def test_induced_subgraph_does_not_follow_string_hash(self):
+        # facebook mixes int and string labels; a subgraph built in set
+        # order gave A_3 a different in-round order per PYTHONHASHSEED.
+        script = (
+            "from repro.core.index import KPIndex\n"
+            "from repro.datasets import load\n"
+            "from repro.graph.views import sample_vertices\n"
+            "sub = sample_vertices(load('facebook'), 0.5, seed=19)\n"
+            "print(repr(KPIndex.build(sub).array(3).vertices))\n"
+        )
+        orders = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert orders[0].count(",") > 100
+        assert orders[0] == orders[1]
 
     def test_edge_subgraph(self, triangle_with_tail):
         sub = triangle_with_tail.edge_subgraph([(0, 1), (0, 3)])
