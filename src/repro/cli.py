@@ -22,7 +22,7 @@ Glue for using the library without writing Python:
   table and the slowest spans afterwards (``--json`` / ``--jsonl``
   export the trace),
 * ``lint [PATH ...]``       — run the repo's KP lint rules (KP001-KP007
-  per file, plus the KP008-KP012 whole-program analysis with
+  per file, plus the KP008-KP010/KP012 whole-program analysis with
   ``--analysis``; ``--format text|json|sarif``),
 * ``selfcheck [FILE]``      — run every runtime invariant contract.
 
@@ -608,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--analysis", action="store_true",
         help="also run the whole-program concurrency/durability rules "
-        "(KP008-KP012: call graph + effect + lock-context analysis)",
+        "(KP008-KP010, KP012: call graph + effect + lock-context analysis)",
     )
     p_lint.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",

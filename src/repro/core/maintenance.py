@@ -25,24 +25,32 @@ edge cancel), and the number of net ops picks one of two rules.
    p-numbers), and splice it back into ``A_k``.  An array whose k-core
    membership changed is windowed at ``[0, p_+]`` over its new members.
 
-The window re-peels drain on one persistent
+**More than one net op** re-peels in full: every op is applied to the
+graph and the peel state, one Batagelj–Zaveršnik bucket pass over the
+state's adjacency yields the core numbers, and ``A_2 .. A_reach`` are
+re-peeled from scratch on the same state
+(:meth:`~repro.core.peel_flat.PeelState.peel_cores`), each k-core's
+member counts kept incrementally as ``k`` rises.  ``reach`` is the
+largest old or new core number of a batch endpoint: Theorems 2/7 for a
+batch — if no endpoint lies in ``C_k`` before or after, ``C_k`` and
+``A_k`` are unchanged.
+
+Both rules drain on one persistent
 :class:`~repro.core.peel_flat.PeelState` per maintainer: an int-id
 adjacency of the live graph, one global rank ladder and the drain
-buffers.  It is built at the first window re-peel, patched in O(deg) by
-every later single op (the ladder is rebuilt only when an endpoint
-reaches a degree it never held), and dropped by a multi-op batch,
+buffers.  It is built at the first window re-peel and patched in O(deg)
+per net op after that (the ladder is rebuilt only when an endpoint
+reaches a degree it never held, at most once per update).
 :meth:`~KPIndexMaintainer.insert_vertex` and
-:meth:`~KPIndexMaintainer.delete_vertex`; the next window re-peel builds
-it again.  ``MaintenanceStats.peel_state_builds`` counts the builds.
-
-**More than one net op** re-peels in full: every op is applied to the
-graph, one :class:`~repro.graph.compact.CompactAdjacency` snapshot of the
-post-batch graph yields the core numbers (one linear decomposition), and
-``A_2 .. A_reach`` are re-peeled from scratch through that same snapshot
-and the Algorithm 2 kernel, serially with one reused scratch.  ``reach``
-is the largest old or new core number of a batch endpoint: Theorems 2/7
-for a batch — if no endpoint lies in ``C_k`` before or after, ``C_k``
-and ``A_k`` are unchanged.
+:meth:`~KPIndexMaintainer.delete_vertex` drop it, and so does
+:meth:`~KPIndexMaintainer.release_peel_state` (the durability layer
+calls it on close); the next window re-peel builds it again.  A batch
+never changes whether the maintainer holds a state: a held one is
+patched and kept; without one, the batch builds a state from the
+post-batch graph and drops it when it returns (seeding an empty index,
+journal replay), so a maintainer that only ever takes batches keeps no
+state between them.  ``MaintenanceStats.peel_state_builds`` counts
+every build, transient ones included, and every ladder rebuild.
 
 Each touched array bumps its version once per batch, which is what lets
 the serving cache invalidate once instead of once per edge (see
@@ -74,19 +82,16 @@ from repro.errors import (
     SelfLoopError,
 )
 from repro.graph.adjacency import Graph, Vertex
-from repro.graph.compact import CompactAdjacency
 from repro.graph.fingerprint import (
     GraphFingerprint,
     edge_digest,
     edge_multiset_hash,
     format_edge_hash,
 )
-from repro.kcore.decomposition import core_numbers_compact
 from repro.kcore.maintenance import CoreMaintainer
 from repro.obs import names as metric
 from repro.obs.instrumentation import Instrumentation, get_collector, maybe_span
 from repro.core.index import KArray, KPIndex
-from repro.core.peel_engines import ENGINES, make_scratch
 from repro.core.peel_flat import PeelState
 from repro.core.pvalue import fraction_value
 
@@ -115,8 +120,9 @@ class MaintenanceStats:
     fallback_rebuilds: int = 0
     batches: int = 0
     batch_cancelled_pairs: int = 0
-    #: Full builds of the persistent peel state plus rank-ladder rebuilds
-    #: (a vertex reached a degree the ladder never held).
+    #: Builds of a peel state — the persistent one and the one a batch
+    #: builds for itself on a stateless maintainer — plus rank-ladder
+    #: rebuilds (a vertex reached a degree the ladder never held).
     peel_state_builds: int = 0
 
     def snapshot(self) -> dict[str, int]:
@@ -130,8 +136,8 @@ class BatchReport:
     ``windowed_repeels`` counts arrays re-peeled through a ``[p_-, p_+]``
     window, which only a batch of one net op does (membership-churned
     arrays included, windowed at ``[0, p_+]``);
-    ``full_repeels`` counts arrays re-peeled in full through the shared
-    snapshot — every reached array of a multi-op batch.
+    ``full_repeels`` counts arrays re-peeled in full on the peel state —
+    every reached array of a multi-op batch.
     """
 
     applied: int
@@ -254,9 +260,10 @@ class KPIndexMaintainer:
         self.index = index
         self._cores = CoreMaintainer(graph, index.core_numbers(graph.vertices()))
         self.stats = MaintenanceStats()
-        #: The window re-peels' int-id adjacency, rank ladder and drain
-        #: buffers: built at the first window re-peel, patched per single
-        #: op, dropped by multi-op batches and vertex insert/delete.
+        #: The re-peels' int-id adjacency, rank ladder and drain buffers:
+        #: built at the first window re-peel, patched per net op (batches
+        #: included), dropped by vertex insert/delete and
+        #: :meth:`release_peel_state`.
         self._peel_state: PeelState | None = None
         #: XOR of the edge digests of ``graph``, or ``None`` until the
         #: first :meth:`fingerprint` / :meth:`adopt_fingerprint`.
@@ -293,6 +300,12 @@ class KPIndexMaintainer:
         checked exactly that when it opens a checkpoint).
         """
         self._edge_hash = int(fingerprint.edge_hash, 16)
+
+    def release_peel_state(self) -> None:
+        """Drop the persistent peel state; the next window re-peel that
+        needs one builds it again.  Queries never use it, so an owner
+        that is done updating can give its memory back."""
+        self._peel_state = None
 
     @verify_maintainer_query
     def query(self, k: int, p: float) -> list[Vertex]:
@@ -382,12 +395,11 @@ class KPIndexMaintainer:
         anything mutates, and insert+delete pairs of the same edge cancel
         without touching the index at all.  One surviving op runs
         Algorithm 4/5 (windowed re-peels, the Theorem 6 skip); more than
-        one applies every op to the graph, takes core numbers from one
-        decomposition of the result and re-peels ``A_2 .. A_reach`` in
-        full through one shared :class:`CompactAdjacency` snapshot — see
-        the module docstring.  Each touched array re-peels at most
-        **once** and bumps its version once per batch, so serving caches
-        invalidate once instead of once per edge.
+        one applies every op to the graph and the peel state, takes core
+        numbers from one bucket pass over the state and re-peels ``A_2 ..
+        A_reach`` in full on it — see the module docstring.  Each touched
+        array re-peels at most **once** and bumps its version once per
+        batch, so serving caches invalidate once instead of once per edge.
         """
         ops, cancelled = coalesce_updates(self.graph, updates)
         self.stats.batches += 1
@@ -449,10 +461,8 @@ class KPIndexMaintainer:
             reach = max(cn_old_u, cn_old_v)  # Theorem 7
             skip_metric = metric.MAINT_THM7_SKIPS
         state = self._peel_state
-        if state is not None:
-            patch = state.add_edge if op == "insert" else state.remove_edge
-            if patch(u, v):
-                self._count_state_build(obs)
+        if state is not None and state.patch(ops):
+            self._count_state_build(obs)
         if obs is not None:
             # Theorems 2/7: arrays above both endpoint core numbers are
             # provably untouched by this op.
@@ -496,18 +506,18 @@ class KPIndexMaintainer:
         """Apply a multi-op batch and re-peel every reached ``A_k`` in full.
 
         No per-op core repair and no window: the ops go straight into the
-        graph, one snapshot of the post-batch graph yields the core
-        numbers (one linear decomposition), and ``A_2 .. A_reach`` re-peel
-        through :meth:`_repeel_full_arrays` on that same snapshot.
-        ``reach`` is the largest old or new core number of a batch
-        endpoint — Theorems 2/7 for a batch: when no endpoint lies in
-        ``C_k`` before or after, no edge inside ``C_k`` changed, so
-        ``C_k`` and ``A_k`` are unchanged.  Returns the number of arrays
-        re-peeled.
+        graph and the maintainer's :class:`PeelState` (patched when held;
+        built from the post-batch graph for this batch alone when not),
+        one bucket pass over the state yields the core numbers, and
+        ``A_2 .. A_reach`` re-peel in full on the same state
+        (:meth:`PeelState.peel_cores`).  ``reach`` is the largest old or
+        new core number of a batch endpoint — Theorems 2/7 for a batch:
+        when no endpoint lies in ``C_k`` before or after, no edge inside
+        ``C_k`` changed, so ``C_k`` and ``A_k`` are unchanged.  Returns
+        the number of arrays re-peeled.
         """
         endpoints = {w for _, u, v in ops for w in (u, v)}
         reach = max(self._cores.core_number_or(w) for w in endpoints)
-        self._peel_state = None
         self._toggle_edge_hash(ops)
         graph = self.graph
         for op, u, v in ops:
@@ -519,25 +529,49 @@ class KPIndexMaintainer:
                 graph.remove_edge(u, v)
                 self.stats.deletions += 1
                 self.index.adjust_num_edges(-1)
-        snapshot = CompactAdjacency(graph)
-        core, _ = core_numbers_compact(snapshot)
-        labels = snapshot.labels
-        self._cores = CoreMaintainer(
-            graph, {labels[i]: c for i, c in enumerate(core)}
-        )
+        obs = get_collector()
+        # A batch never changes whether the maintainer holds a state: a
+        # held one is patched and kept, otherwise one is built for this
+        # batch and dropped with it.
+        state = self._peel_state
+        if state is None:
+            state = PeelState(graph)
+            self._count_state_build(obs)
+        elif state.patch(ops):
+            self._count_state_build(obs)
+        core = state.core_numbers()
+        self._cores = CoreMaintainer(graph, dict(zip(state.label_of, core)))
         reach = max(reach, max(self._cores.core_number(w) for w in endpoints))
         self._update_a1_after_batch(ops)
-        ks = list(range(2, reach + 1))
-        if not ks:
+        if reach < 2:
             return 0
-        self.stats.arrays_examined += len(ks)
-        obs = get_collector()
+        self.stats.arrays_examined += reach - 1
         if obs is not None:
-            obs.add(metric.MAINT_ARRAYS_EXAMINED, len(ks))
-        for k in ks:
+            obs.add(metric.MAINT_ARRAYS_EXAMINED, reach - 1)
+        for k in range(2, reach + 1):
             self._ensure_array(k)
-        self._repeel_full_arrays(ks, snapshot, core)
-        return len(ks)
+        arrays = self.index.arrays()
+        for k, vertices, p_numbers in state.peel_cores(core, reach):
+            array = arrays[k]
+            self.stats.arrays_updated += 1
+            self.stats.vertices_repeeled += len(vertices)
+            if obs is not None:
+                obs.inc(metric.MAINT_ARRAYS_REPEELED)
+                obs.add(metric.MAINT_VERTICES_REPEELED, len(vertices))
+                obs.add(
+                    metric.MAINT_PNUMBERS_CHANGED,
+                    self._pnumbers_changed(
+                        array, len(array), vertices, p_numbers
+                    ),
+                )
+            # Bump before touching the array — the same discipline as
+            # _repeel_and_splice: a conservative bump only costs cache
+            # entries, it can never let a stale answer survive.
+            self.index.bump_version(k)
+            array.vertices = vertices
+            array.p_numbers = p_numbers
+            array._rebuild_levels()
+        return reach - 1
 
     def _batch_window(
         self,
@@ -608,45 +642,6 @@ class KPIndexMaintainer:
         if p_minus >= p_plus and p_plus > 0.0:
             return None
         return p_minus, p_plus
-
-    def _repeel_full_arrays(
-        self, ks: Sequence[int], snapshot: CompactAdjacency, core: list[int]
-    ) -> None:
-        """Re-peel each ``A_k`` in ``ks`` from scratch with the peel kernel.
-
-        ``snapshot`` is the post-batch graph and ``core`` its core numbers
-        by internal id.  The snapshot is shared by every array, so the
-        per-array marginal cost is the kernel peel itself — the same
-        kernel Algorithm 2 runs, scratch reused across the ks.
-        """
-        obs = get_collector()
-        snapshot.sort_neighbors_by_rank_desc(core)
-        peel = ENGINES["flat"]
-        scratch = make_scratch(snapshot, core)
-        labels = snapshot.labels
-        arrays = self.index.arrays()
-        for k in ks:
-            order, p_numbers = peel(snapshot, core, k, scratch=scratch)
-            array = arrays[k]
-            vertices = [labels[i] for i in order]
-            self.stats.arrays_updated += 1
-            self.stats.vertices_repeeled += len(order)
-            if obs is not None:
-                obs.inc(metric.MAINT_ARRAYS_REPEELED)
-                obs.add(metric.MAINT_VERTICES_REPEELED, len(order))
-                obs.add(
-                    metric.MAINT_PNUMBERS_CHANGED,
-                    self._pnumbers_changed(
-                        array, len(array), vertices, p_numbers
-                    ),
-                )
-            # Bump before touching the array — the same discipline as
-            # _repeel_and_splice: a conservative bump only costs cache
-            # entries, it can never let a stale answer survive.
-            self.index.bump_version(k)
-            array.vertices = vertices
-            array.p_numbers = list(p_numbers)
-            array._rebuild_levels()
 
     def _update_a1_after_batch(
         self, ops: Sequence[tuple[str, Vertex, Vertex]]

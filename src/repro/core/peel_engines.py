@@ -1,11 +1,10 @@
 """Where Algorithm 2's callers look up the peel kernel and its scratch.
 
-The decomposition and the batched full-array re-peel — two serial loops
-over ``k`` — resolve the kernel through :data:`ENGINES` at call time and
-build its cross-``k`` scratch through :func:`make_scratch`, so
-the per-layer profiler in ``perfbench/`` can wrap both names from
-outside and time the drain (``core.peel_s``) apart from the scratch
-build (``core.scratch_s``).  The kernel itself lives in
+The decomposition's serial loop over ``k`` resolves the kernel through
+:data:`ENGINES` at call time and builds its cross-``k`` scratch through
+:func:`make_scratch`, so the per-layer profiler in ``perfbench/`` can
+wrap both names from outside and time the drain (``core.peel_s``) apart
+from the scratch build (``core.scratch_s``).  The kernel itself lives in
 :mod:`repro.core.peel_flat`.
 """
 

@@ -2,17 +2,20 @@
 
 Both are one computation — peel a vertex set in rounds by the fraction
 ``deg(v, C) / deg(v, G)``, the round level at deletion being the
-vertex's p-number — so both run on one drain (:func:`_drain`):
+vertex's p-number — so all three peels run on one drain (:func:`_drain`):
 
 * :func:`peel_fixed_k_flat` peels a whole k-core of a frozen
-  :class:`~repro.graph.compact.CompactAdjacency` snapshot (full
-  decomposition, batched full-array re-peels), on a once-per-snapshot
-  :class:`FlatScratch`;
-* :meth:`PeelState.peel_window` peels the window residual of one
-  ``A_k`` (the maintenance splice), with the Theorem 4/9 early stop, on
-  the maintainer's persistent :class:`PeelState`: an int-id adjacency
-  of the live graph patched in O(deg) per edge.  The residual is a
-  member mask in the state's ``deg_s``, not a copy.
+  :class:`~repro.graph.compact.CompactAdjacency` snapshot (the full
+  decomposition), on a once-per-snapshot :class:`FlatScratch`;
+* the maintainer's persistent :class:`PeelState` — an int-id adjacency
+  of the live graph patched in O(deg) per edge — runs the other two:
+  :meth:`PeelState.peel_window` peels the window residual of one ``A_k``
+  (a single-op splice), with the Theorem 4/9 early stop, the residual a
+  member mask in the state's ``deg_s`` rather than a copy; and
+  :meth:`PeelState.peel_cores` peels whole k-cores for ``k = 2 ..
+  reach`` (a multi-op batch), on core numbers from one bucket pass over
+  the same adjacency, each member's k-core degree kept incrementally as
+  ``k`` rises.
 
 The drain's ingredients:
 
@@ -57,7 +60,8 @@ The drain's ingredients:
   parked at most once per rank and a stale entry can never be mistaken
   for a live one.  A vertex outside the peeled set has working degree
   ``<= k-1`` — the snapshot's prefix lengths exclude it, the window's
-  mask rests at 0 — so the drain never decrements it.
+  mask rests at 0, and a vertex outside the k-core has at most ``k-1``
+  neighbours in it — so the drain never decrements it.
 
 The hot arrays are plain Python ``list``s rather than ``array('l')``:
 ``array`` subscripting boxes a fresh ``int`` per read in CPython, while
@@ -78,11 +82,12 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from itertools import repeat
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import IndexStateError, ParameterError
 from repro.graph.adjacency import Graph, Vertex
 from repro.graph.compact import CompactAdjacency
+from repro.kcore.decomposition import bucket_core_numbers
 from repro.obs import names
 from repro.obs.instrumentation import Instrumentation, get_collector
 
@@ -361,8 +366,9 @@ class PeelState(_DrainState):
     """One maintainer's persistent peel state over its live graph.
 
     Built once from the :class:`~repro.graph.adjacency.Graph` and patched
-    in O(deg) per edge (:meth:`add_edge` / :meth:`remove_edge`), it holds
-    everything a window re-peel (:meth:`peel_window`) drains on:
+    in O(deg) per edge (:meth:`patch`), it holds everything a window
+    re-peel (:meth:`peel_window`) and a batch's full-core re-peels
+    (:meth:`core_numbers`, :meth:`peel_cores`) drain on:
 
     * an int-id adjacency — ``id_of`` / ``label_of`` map vertex labels to
       ids in first-seen order; ``ind[iptr[v] : iptr[v] + deg[v]]`` are
@@ -410,19 +416,24 @@ class PeelState(_DrainState):
 
     # -- O(deg) patches ------------------------------------------------
 
-    def add_edge(self, u: Vertex, v: Vertex) -> bool:
-        """Record the new edge ``(u, v)``; True when the ladder was rebuilt."""
-        x, y = self._id(u), self._id(v)
-        self._link(x, y)
-        self._link(y, x)
-        return self._rekey(x, y)
+    def patch(self, ops: Iterable[tuple[str, Vertex, Vertex]]) -> bool:
+        """Apply net ``(op, u, v)`` edge ops; True when the ladder was rebuilt.
 
-    def remove_edge(self, u: Vertex, v: Vertex) -> bool:
-        """Forget the edge ``(u, v)``; True when the ladder was rebuilt."""
-        x, y = self.id_of[u], self.id_of[v]
-        self._unlink(x, y)
-        self._unlink(y, x)
-        return self._rekey(x, y)
+        Every op is O(deg) on the adjacency; the ladder is re-levelled
+        once, after the last op, so a batch rebuilds it at most once.
+        """
+        touched: list[int] = []
+        for op, u, v in ops:
+            if op == "insert":
+                x, y = self._id(u), self._id(v)
+                self._link(x, y)
+                self._link(y, x)
+            else:
+                x, y = self.id_of[u], self.id_of[v]
+                self._unlink(x, y)
+                self._unlink(y, x)
+            touched += (x, y)
+        return self._relevel(touched)
 
     def _id(self, v: Vertex) -> int:
         x = self.id_of.get(v)
@@ -454,17 +465,78 @@ class PeelState(_DrainState):
         ind[ind.index(y, p, p + last + 1)] = ind[p + last]
         self.deg[x] = last
 
-    def _rekey(self, x: int, y: int) -> bool:
-        deg, block = self.deg, self.block
-        if deg[x] in block and deg[y] in block:
-            self.lp[x] = block[deg[x]]
-            self.lp[y] = block[deg[y]]
+    def _relevel(self, touched: Sequence[int]) -> bool:
+        deg, block, lp = self.deg, self.block, self.lp
+        if all(deg[x] in block for x in touched):
+            for x in touched:
+                lp[x] = block[deg[x]]
             return False
-        start, self.vli, self.lvl_val = _rank_ladder({*block, deg[x], deg[y]})
+        start, self.vli, self.lvl_val = _rank_ladder(
+            {*block, *map(deg.__getitem__, touched)}
+        )
         self.block = start
         self.lp = [start[d] for d in deg]
         self._reset_bins()
         return True
+
+    # -- the batch path: core numbers and full-core re-peels ------------
+
+    def core_numbers(self) -> list[int]:
+        """Core numbers by state id: one bucket pass over the adjacency."""
+        core, _ = bucket_core_numbers(self.iptr, self.deg, self.ind)
+        return core
+
+    def peel_cores(
+        self, core: Sequence[int], reach: int
+    ) -> Iterator[tuple[int, list[Vertex], list[float]]]:
+        """Peel the whole k-core for ``k = 2 .. reach``, in ascending order.
+
+        ``core`` are the state's :meth:`core_numbers`.  Yields ``(k,
+        order, p_numbers)`` with ``order`` in labels: the ``A_k`` a full
+        decomposition builds, empty above the degeneracy.  Each vertex's
+        count of k-core neighbours is kept incrementally as ``k`` rises:
+        stepping to ``k`` retires the core-``(k-1)`` vertices and
+        decrements their neighbours, so every adjacency slot is walked
+        once over the sweep.  A non-member needs no reset: with core
+        number ``c < k`` it has at most ``c <= k-1`` neighbours in the
+        k-core (one more would put it in the ``(c+1)``-core), which the
+        drain reads as dead.  So the drain reads each member's whole
+        block (``plen = deg``) and never decrements a non-member.
+        """
+        iptr, ind, deg, labels = self.iptr, self.ind, self.deg, self.label_of
+        top = max(core, default=0)
+        by_core: list[list[int]] = [[] for _ in range(top + 1)]
+        for v, c in enumerate(core):
+            by_core[c].append(v)
+        # Parks: one per member plus at most one per decrement.
+        need = len(core) + sum(deg) + 1
+        if len(self.arena_vertex) < need:
+            grow = need - len(self.arena_vertex)
+            self.arena_vertex.extend(repeat(0, grow))
+            self.arena_next.extend(repeat(0, grow))
+        # The k-core is a prefix of ``members`` (descending core number);
+        # at k = 1 every neighbour counts (core 0 means isolated).
+        members = [v for c in range(top, 0, -1) for v in by_core[c]]
+        size = len(members)
+        counts = deg[:]
+        obs = get_collector()
+        for k in range(2, reach + 1):
+            if k > top:
+                yield k, [], []
+                continue
+            retired = by_core[k - 1]
+            for u in retired:
+                p = iptr[u]
+                for w in ind[p : p + deg[u]]:
+                    counts[w] -= 1
+            size -= len(retired)
+            trace_start = time.perf_counter() if obs is not None else 0.0
+            order, p_numbers, _ = _drain(
+                self, k, members[:size], deg, counts[:],
+                stop_rank=self.num_levels, fresh=(), pending=0,
+                obs=obs, trace_start=trace_start,
+            )
+            yield k, [labels[v] for v in order], p_numbers
 
     # -- the window re-peel --------------------------------------------
 

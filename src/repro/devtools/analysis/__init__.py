@@ -5,7 +5,7 @@ package adds the cross-module view those rules need: a module-resolving
 call graph (:mod:`.callgraph`), effect inference classifying each
 function as reading/mutating index, cache, journal or filesystem state
 (:mod:`.effects`), and a lock-context propagator (:mod:`.contexts`).
-The rules themselves (KP008-KP012) live in :mod:`.rules`.
+The rules themselves (KP008-KP010, KP012) live in :mod:`.rules`.
 
 Entry point: :func:`analyze_files` — build the program once, run every
 rule, apply the same ``# noqa`` suppression contract as the per-file
@@ -48,7 +48,7 @@ def analyze_files(
     paths: Iterable[str | os.PathLike[str]],
     rules: Iterable[AnalysisRule] | None = None,
 ) -> list[Violation]:
-    """Run KP008-KP012 over ``paths`` (already-expanded ``.py`` files).
+    """Run KP008-KP010 and KP012 over ``paths`` (already-expanded ``.py`` files).
 
     ``# noqa`` comments suppress analysis findings exactly as they do
     per-file lint findings.

@@ -11,7 +11,7 @@ qualnames it may target.
 Resolution is deliberately heuristic — Python cannot be resolved
 statically in general — but it is *under-approximate*: a call that cannot
 be resolved contributes no edges (and therefore no effects), so the
-downstream rules (KP008-KP012) err toward silence, never toward noise.
+downstream rules (KP008-KP010, KP012) err toward silence, never toward noise.
 The supported forms, in priority order:
 
 * ``f(...)`` where ``f`` is a nested/local def, a module-level def, an

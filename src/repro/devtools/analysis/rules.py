@@ -1,5 +1,5 @@
-"""Whole-program rules KP008-KP012 over the call graph, effects and
-lock contexts.
+"""Whole-program rules KP008-KP010 and KP012 over the call graph,
+effects and lock contexts.
 
 Each rule is under-approximate by construction: it only reasons about
 call edges the resolver could prove and lock scopes it could see, so an
@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.devtools.analysis.callgraph import (
     CallSite,
     FunctionInfo,
     Program,
-    base_name,
 )
 from repro.devtools.analysis.contexts import (
     LOCK_WRITE,
@@ -37,7 +36,6 @@ __all__ = [
     "LockDisciplineRule",
     "VersionBumpPairingRule",
     "DurableWriteProtocolRule",
-    "ProcessBoundaryRule",
     "BlockingUnderLockRule",
     "ALL_ANALYSIS_RULES",
     "default_analysis_rules",
@@ -45,16 +43,6 @@ __all__ = [
 ]
 
 _RWLOCK_RE = re.compile(r"rwlock|readwritelock", re.IGNORECASE)
-_LOCKY_RE = re.compile(r"lock|mutex|cond|sem", re.IGNORECASE)
-_HANDLE_RE = re.compile(r"(?:^|_)(?:handle|fh|fp|file|outfile|infile)$", re.IGNORECASE)
-_POOL_RE = re.compile(r"pool|executor", re.IGNORECASE)
-_POOL_CONSTRUCTORS = frozenset({"Pool", "ProcessPoolExecutor"})
-_POOL_DISPATCH = frozenset(
-    {
-        "map", "map_async", "imap", "imap_unordered",
-        "starmap", "starmap_async", "apply", "apply_async", "submit",
-    }
-)
 _MAINTENANCE_SUFFIX = "core/maintenance.py"
 _PERSISTED_SUFFIXES = ("core/index.py", "obs/snapshot.py")
 
@@ -316,98 +304,6 @@ class DurableWriteProtocolRule(AnalysisRule):
         return None
 
 
-class ProcessBoundaryRule(AnalysisRule):
-    """KP011 — everything shipped to a worker pool must pickle cheaply:
-    no lambdas, closures, locks, or open handles across the process
-    boundary."""
-
-    code = "KP011"
-
-    def check(
-        self, program: Program, effects: EffectMap, contexts: ContextMap
-    ) -> Iterator[Violation]:
-        for function in program.functions.values():
-            path = _module_path(program, function)
-            for site in function.calls:
-                node = site.node
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else (
-                    func.attr if isinstance(func, ast.Attribute) else None
-                )
-                if name in _POOL_CONSTRUCTORS:
-                    yield from self._check_constructor(program, function, path, node)
-                elif (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _POOL_DISPATCH
-                    and (base_name(func.value) or "")
-                    and _POOL_RE.search(base_name(func.value) or "")
-                ):
-                    yield from self._check_arguments(
-                        program, function, path, node, list(node.args)
-                    )
-
-    def _check_constructor(
-        self,
-        program: Program,
-        function: FunctionInfo,
-        path: str,
-        node: ast.Call,
-    ) -> Iterator[Violation]:
-        for keyword in node.keywords:
-            if keyword.arg == "initializer":
-                yield from self._check_arguments(
-                    program, function, path, node, [keyword.value]
-                )
-            elif keyword.arg == "initargs" and isinstance(
-                keyword.value, (ast.Tuple, ast.List)
-            ):
-                yield from self._check_arguments(
-                    program, function, path, node, list(keyword.value.elts)
-                )
-
-    def _check_arguments(
-        self,
-        program: Program,
-        function: FunctionInfo,
-        path: str,
-        call: ast.Call,
-        arguments: Sequence[ast.expr],
-    ) -> Iterator[Violation]:
-        for argument in arguments:
-            reason = self._unpicklable(program, function, argument)
-            if reason is not None:
-                yield self._violation(
-                    path,
-                    argument,
-                    f"{reason} crosses the process boundary to a worker "
-                    "pool — ship module-level callables and plain data only",
-                )
-
-    @staticmethod
-    def _unpicklable(
-        program: Program, function: FunctionInfo, argument: ast.expr
-    ) -> str | None:
-        if isinstance(argument, ast.Lambda):
-            return "a lambda"
-        if isinstance(argument, ast.Name):
-            if f"{function.qualname}.{argument.id}" in program.functions:
-                return f"nested function {argument.id}() (a closure)"
-            if _LOCKY_RE.search(argument.id):
-                return f"lock-like object {argument.id!r}"
-            if _HANDLE_RE.search(argument.id):
-                return f"open-handle-like object {argument.id!r}"
-        if isinstance(argument, ast.Attribute):
-            name = base_name(argument)
-            if name is not None and _LOCKY_RE.search(name):
-                return f"lock-like object {name!r}"
-            if name is not None and _HANDLE_RE.search(name):
-                return f"open-handle-like object {name!r}"
-        if isinstance(argument, ast.Call):
-            if isinstance(argument.func, ast.Name) and argument.func.id == "open":
-                return "an open file handle"
-        return None
-
-
 class BlockingUnderLockRule(AnalysisRule):
     """KP012 — no blocking I/O while holding a lock scope that query
     threads share: every fsync spent under the lock is latency added to
@@ -450,7 +346,6 @@ ALL_ANALYSIS_RULES: tuple[type[AnalysisRule], ...] = (
     LockDisciplineRule,
     VersionBumpPairingRule,
     DurableWriteProtocolRule,
-    ProcessBoundaryRule,
     BlockingUnderLockRule,
 )
 

@@ -11,9 +11,10 @@ their outputs against the paper's definitions:
 * :func:`verify_maintainer_update` — after every edge update the endpoint
   p-numbers respect the bounds sandwich ``p_ <= pn(v,k) <= f(v)`` (the
   first peel level below, the one-hop k-core fraction above) and, on
-  small graphs, the whole index re-validates and the maintainer's running
+  small graphs, the whole index re-validates, the maintainer's running
   graph fingerprint equals a full rehash
-  (:func:`check_running_fingerprint`),
+  (:func:`check_running_fingerprint`) and its kept peel state mirrors
+  the graph (:func:`check_peel_state`),
 * :func:`verify_maintainer_query` — KP-Index answers equal from-scratch
   :func:`repro.core.kpcore.kp_core_vertices`.
 
@@ -41,6 +42,7 @@ __all__ = [
     "check_query_result",
     "check_index_against_scratch",
     "check_running_fingerprint",
+    "check_peel_state",
     "verify_kp_core",
     "verify_decomposition",
     "verify_maintainer_update",
@@ -228,6 +230,54 @@ def check_running_fingerprint(maintainer: Any) -> None:
         )
 
 
+def check_peel_state(maintainer: Any) -> None:
+    """The maintainer's kept :class:`~repro.core.peel_flat.PeelState`
+    mirrors its graph (nothing to check when it holds none).
+
+    Ids and labels are one bijection onto the graph's vertices; each id's
+    block holds exactly the label's neighbours, without repeats, within
+    its capacity; each ladder offset is its degree's block; and the
+    window mask and new-member flags rest at 0 between peels.  A missed
+    or doubled patch shows up here as a mismatch.
+    """
+    state = maintainer._peel_state
+    if state is None:
+        return
+    graph = maintainer.graph
+    labels, id_of, ind = state.label_of, state.id_of, state.ind
+    if len(labels) != graph.num_vertices or len(id_of) != len(labels):
+        raise ContractViolationError(
+            f"peel state holds {len(labels)} labels / {len(id_of)} ids for "
+            f"a graph of {graph.num_vertices} vertices"
+        )
+    for x, v in enumerate(labels):
+        if id_of.get(v) != x or v not in graph:
+            raise ContractViolationError(
+                f"peel state id {x} is labelled {v!r}, which does not map "
+                "back to it or is not a graph vertex"
+            )
+        start, degree = state.iptr[x], state.deg[x]
+        held = {labels[w] for w in ind[start : start + degree]}
+        if (
+            degree > state.cap[x]
+            or len(held) != degree
+            or held != graph.neighbors(v)
+        ):
+            raise ContractViolationError(
+                f"peel state block of {v!r} ({degree} slots, capacity "
+                f"{state.cap[x]}) does not hold exactly its neighbours"
+            )
+        if state.lp[x] != state.block.get(degree):
+            raise ContractViolationError(
+                f"peel state ladder offset of {v!r} is not the block of "
+                f"degree {degree}"
+            )
+    if any(state.deg_s) or any(state.fresh):
+        raise ContractViolationError(
+            "peel state window mask or new-member flags did not rest at 0"
+        )
+
+
 # ----------------------------------------------------------------------
 # decorators
 # ----------------------------------------------------------------------
@@ -262,8 +312,8 @@ def verify_maintainer_update(fn: _F) -> _F:
 
     After the update: endpoint p-numbers respect the bounds sandwich in
     every affected array; on small graphs (``FULL_CHECK_EDGE_LIMIT``)
-    additionally the global lower bound, full index validation and the
-    running graph fingerprint.
+    additionally the global lower bound, full index validation, the
+    running graph fingerprint and the kept peel state.
     """
 
     @functools.wraps(fn)
@@ -295,7 +345,7 @@ def verify_batch_state(maintainer: Any, endpoints: Iterable[Any]) -> None:
     Not a decorator: a batch's endpoints are only known after the update
     iterable is consumed, so :meth:`KPIndexMaintainer.apply_batch` calls
     this explicitly once the batch has been applied.  Runs the same
-    bounds-sandwich / full-validation / fingerprint checks as
+    bounds-sandwich / full-validation / fingerprint / peel-state checks as
     :func:`verify_maintainer_update`, over every batch endpoint at once.
     """
     if _active:
@@ -318,3 +368,4 @@ def _check_maintainer_state(maintainer: Any, endpoints: tuple[Any, Any]) -> None
     if small:
         maintainer.index.validate()
         check_running_fingerprint(maintainer)
+        check_peel_state(maintainer)

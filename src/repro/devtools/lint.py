@@ -11,7 +11,7 @@ CLI (wired as ``python -m repro lint [PATH ...]``)::
 
     python -m repro lint src                     # exit 0 iff clean
     python -m repro lint --explain               # list the rule codes
-    python -m repro lint --analysis src          # + whole-program KP008-KP012
+    python -m repro lint --analysis src          # + whole-program KP008-KP010, KP012
     python -m repro lint --format sarif src      # machine-readable report
     python -m repro lint --select KP008,KP012 src
 
@@ -193,7 +193,7 @@ def run(
     per-file rules, the (optional) whole-program analysis, and the
     checked-file count in the summary line.
 
-    ``analysis=True`` additionally runs the KP008-KP012 whole-program
+    ``analysis=True`` additionally runs the KP008-KP010/KP012 whole-program
     rules; ``fmt`` selects ``text`` (default), ``json``, or ``sarif``
     output; ``select``/``ignore`` filter by rule code.
     """

@@ -72,10 +72,8 @@ RULE_CODES: dict[str, str] = {
         "in-memory mutation it logs, and persisted files must use the "
         "temp-file + fsync + os.replace idiom, never raw open(path, 'w')"
     ),
-    "KP011": (
-        "process-boundary safety: lambdas, closures, locks, or open "
-        "handles must not cross into a worker pool"
-    ),
+    # KP011 (process-boundary safety) is retired: the worker pool it
+    # guarded is gone.  Retired codes are not reused.
     "KP012": (
         "no blocking I/O (open/fsync/sleep/journal writes) while holding "
         "a lock scope that query threads share"

@@ -4,8 +4,10 @@
 algorithm peels vertices in non-decreasing order of current degree using
 O(n + m) work; the degree at removal time is the vertex's **core number**.
 
-The hot loop runs over a :class:`~repro.graph.compact.CompactAdjacency`
-snapshot (flat lists, integer ids); the public entry point accepts a
+The hot loop (:func:`bucket_core_numbers`) runs over flat integer-id
+adjacency: a :class:`~repro.graph.compact.CompactAdjacency` snapshot
+(:func:`core_numbers_compact`) or the KP-Index maintainer's persistent
+peel state; the public entry point accepts a
 :class:`~repro.graph.adjacency.Graph` and maps results back to vertex
 labels.
 """
@@ -22,6 +24,7 @@ from repro.obs.instrumentation import get_collector
 
 __all__ = [
     "CoreDecomposition",
+    "bucket_core_numbers",
     "core_decomposition",
     "core_numbers_compact",
     "degeneracy",
@@ -36,10 +39,25 @@ def core_numbers_compact(snapshot: CompactAdjacency) -> tuple[list[int], list[in
     internal vertex ``i`` and ``order`` lists internal ids in the order the
     bucket algorithm peels them (a degeneracy ordering).
     """
-    n = snapshot.num_vertices
+    return bucket_core_numbers(
+        snapshot.indptr, snapshot.degrees(), snapshot.indices
+    )
+
+
+def bucket_core_numbers(
+    starts: Sequence[int], degrees: Sequence[int], indices: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The Batagelj–Zaversnik bucket pass over an int-id adjacency.
+
+    Vertex ``v``'s neighbours are ``indices[starts[v] : starts[v] +
+    degrees[v]]``, so the blocks need be neither contiguous nor in vertex
+    order: a CSR snapshot (``starts = indptr``) and the maintainer's
+    slack-block :class:`~repro.core.peel_flat.PeelState` both qualify.
+    Returns ``(core, order)`` as :func:`core_numbers_compact` does.
+    """
+    n = len(degrees)
     if n == 0:
         return [], []
-    degrees = snapshot.degrees()
     max_deg = max(degrees)
 
     # Counting sort of vertices by degree.
@@ -58,13 +76,12 @@ def core_numbers_compact(snapshot: CompactAdjacency) -> tuple[list[int], list[in
         cursor[d] += 1
 
     # Peel in degree order; `core` doubles as the current-degree array.
-    core = degrees
-    indptr, indices = snapshot.indptr, snapshot.indices
+    core = list(degrees)
     for i in range(n):
         v = vert[i]
         cv = core[v]
-        for ptr in range(indptr[v], indptr[v + 1]):
-            u = indices[ptr]
+        p = starts[v]
+        for u in indices[p : p + degrees[v]]:
             cu = core[u]
             if cu > cv:
                 # Swap u to the front of its bucket, then shrink the bucket.
@@ -81,7 +98,7 @@ def core_numbers_compact(snapshot: CompactAdjacency) -> tuple[list[int], list[in
         # `core` started as the degree array and lost one per bucket
         # demotion, so the move count is derived after the loop: the
         # O(n + m) peel runs identically with collection on or off.
-        total_degree = indptr[n]
+        total_degree = sum(degrees)
         obs.inc(names.KCORE_DECOMP_CALLS)
         obs.add(names.KCORE_DECOMP_EDGE_SCANS, total_degree)
         obs.add(names.KCORE_DECOMP_BUCKET_MOVES, total_degree - sum(core))

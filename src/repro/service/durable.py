@@ -645,8 +645,10 @@ class DurableMaintainer:
             )
 
     def close(self) -> None:
+        """Close the journal and release the maintainer's peel state."""
         if not self._closed:
             self._journal.close()
+            self.maintainer.release_peel_state()
             self._closed = True
 
     def __enter__(self) -> "DurableMaintainer":

@@ -344,8 +344,9 @@ class TestMultiOpRule:
         _assert_matches_oracles(maintainer)
 
     def test_one_snapshot_per_multi_op_batch(self, maintainer_cls, monkeypatch):
-        # Core numbers and every full re-peel share one snapshot of the
-        # post-batch graph.
+        # Core numbers and every full re-peel run on the maintainer's peel
+        # state: a multi-op batch builds no CompactAdjacency snapshot,
+        # whether it finds a held state or builds one for itself.
         g = erdos_renyi_gnm(30, 90, seed=45)
         maintainer = maintainer_cls(g)
         built = []
@@ -356,10 +357,21 @@ class TestMultiOpRule:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(CompactAdjacency, "__init__", counting_init)
+        assert maintainer._peel_state is None
         report = maintainer.apply_batch(_random_stream(45, 30, 12, g))
+        assert report.applied > 1 and report.full_repeels >= 2
+        u, v = next(iter(sorted(maintainer.graph.edges())))
+        maintainer.delete_edge(u, v)
+        # The windows leave a state held; the all-full rule never holds one.
+        held = maintainer._peel_state
+        assert (held is not None) == (maintainer_cls is KPIndexMaintainer)
+        report = maintainer.apply_batch(
+            _random_stream(46, 30, 12, maintainer.graph)
+        )
         monkeypatch.undo()
         assert report.applied > 1 and report.full_repeels >= 2
-        assert len(built) == 1
+        assert maintainer._peel_state is held
+        assert built == []
         assert maintainer.index.semantically_equal(
             KPIndex.build(maintainer.graph)
         )

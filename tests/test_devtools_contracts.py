@@ -187,3 +187,71 @@ def test_corrupted_index_passes_silently_when_inactive(sample_graph):
         maintainer.query(2, 0.0)
     finally:
         set_contracts_active(previous)
+
+
+# ----------------------------------------------------------------------
+# the maintainer's kept peel state mirrors its graph
+# ----------------------------------------------------------------------
+def _held_state(graph: Graph) -> KPIndexMaintainer:
+    """A maintainer whose window re-peels left a peel state held."""
+    maintainer = KPIndexMaintainer(graph.copy())
+    u, v = next(iter(sorted(maintainer.graph.edges())))
+    maintainer.delete_edge(u, v)
+    maintainer.insert_edge(u, v)
+    assert maintainer._peel_state is not None
+    return maintainer
+
+
+def _drop_a_neighbour(state, x):
+    state.deg[x] -= 1
+
+
+def _overfill_a_block(state, x):
+    state.cap[x] = state.deg[x] - 1
+
+
+def _misplace_a_ladder_offset(state, x):
+    state.lp[x] += 1
+
+
+def _leave_the_mask_set(state, x):
+    state.deg_s[x] = 1
+
+
+def _forget_a_label(state, x):
+    del state.id_of[state.label_of[x]]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _drop_a_neighbour,
+        _overfill_a_block,
+        _misplace_a_ladder_offset,
+        _leave_the_mask_set,
+        _forget_a_label,
+    ],
+)
+def test_check_peel_state_rejects_a_corrupted_state(sample_graph, corrupt):
+    maintainer = _held_state(sample_graph)
+    contracts.check_peel_state(maintainer)
+    state = maintainer._peel_state
+    corrupt(state, max(range(len(state.deg)), key=state.deg.__getitem__))
+    with pytest.raises(ContractViolationError, match="peel state"):
+        contracts.check_peel_state(maintainer)
+
+
+def test_corrupted_peel_state_is_caught_after_a_batch(active, sample_graph):
+    maintainer = _held_state(sample_graph)
+    graph = maintainer.graph
+    state = maintainer._peel_state
+    # Corrupt a vertex the batch does not touch, so the re-peels run on
+    # sound data and only the contract can notice.
+    x = max(range(len(state.deg)), key=state.deg.__getitem__)
+    bystander = state.label_of[x]
+    edges = [
+        (u, v) for u, v in sorted(graph.edges()) if bystander not in (u, v)
+    ]
+    state.cap[x] = state.deg[x] - 1
+    with pytest.raises(ContractViolationError, match="peel state"):
+        maintainer.apply_batch([("delete", u, v) for u, v in edges[:2]])

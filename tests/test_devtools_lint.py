@@ -1,11 +1,11 @@
-"""Trigger / near-miss fixtures for every lint rule KP001-KP012.
+"""Trigger / near-miss fixtures for every lint rule KP001-KP012 (KP011 retired).
 
 Each rule gets at least one snippet that must fire (with the right code)
 and one nearby snippet that must stay silent, so the heuristics cannot
 drift in either direction unnoticed.  KP001-KP007 are per-file rules
-checked via :func:`lint_source`; KP008-KP012 are whole-program rules, so
-their fixtures are small synthetic packages written to ``tmp_path`` and
-run through :func:`repro.devtools.analysis.analyze_files`.  The repo's
+checked via :func:`lint_source`; KP008-KP010 and KP012 are
+whole-program rules, so their fixtures are small synthetic packages
+written to ``tmp_path`` and run through :func:`repro.devtools.analysis.analyze_files`.  The repo's
 own ``src`` tree must lint clean — that is the acceptance gate CI runs.
 """
 
@@ -39,7 +39,7 @@ def codes(source: str, path: str = "pkg/module.py") -> list[str]:
 
 
 def analysis_codes(tmp_path, files: dict[str, str]) -> list[str]:
-    """Write a synthetic package to ``tmp_path`` and run KP008-KP012."""
+    """Write a synthetic package to ``tmp_path`` and run KP008-KP010, KP012."""
     paths = []
     for relative, source in files.items():
         target = tmp_path / relative
@@ -497,73 +497,6 @@ class TestKP010:
 
 
 # ----------------------------------------------------------------------
-# KP011 — process-boundary safety (whole-program)
-# ----------------------------------------------------------------------
-class TestKP011:
-    def test_lambda_shipped_to_pool_triggers(self, tmp_path):
-        module = (
-            "from multiprocessing import Pool\n"
-            "def drive(items):\n"
-            "    with Pool(2) as pool:\n"
-            "        return list(pool.imap_unordered(lambda item: item, items))\n"
-        )
-        assert analysis_codes(tmp_path, {"pkg/driver.py": module}) == ["KP011"]
-
-    def test_closure_shipped_to_pool_triggers(self, tmp_path):
-        module = (
-            "from multiprocessing import Pool\n"
-            "def drive(items):\n"
-            "    def helper(item):\n"
-            "        return item\n"
-            "    with Pool(2) as pool:\n"
-            "        return pool.map(helper, items)\n"
-        )
-        assert analysis_codes(tmp_path, {"pkg/driver.py": module}) == ["KP011"]
-
-    def test_lock_in_initargs_triggers(self, tmp_path):
-        module = (
-            "from multiprocessing import Pool\n"
-            "def drive(snapshot, lock):\n"
-            "    with Pool(2, initializer=_setup, initargs=(snapshot, lock)) as pool:\n"
-            "        return pool\n"
-            "def _setup(snapshot, lock):\n"
-            "    return None\n"
-        )
-        assert analysis_codes(tmp_path, {"pkg/driver.py": module}) == ["KP011"]
-
-    def test_module_level_task_and_plain_data_are_clean(self, tmp_path):
-        module = (
-            "from multiprocessing import Pool\n"
-            "def _task(item):\n"
-            "    return item\n"
-            "def drive(items, snapshot):\n"
-            "    with Pool(2, initializer=_setup, initargs=(snapshot,)) as pool:\n"
-            "        return list(pool.imap_unordered(_task, items))\n"
-            "def _setup(snapshot):\n"
-            "    return None\n"
-        )
-        assert analysis_codes(tmp_path, {"pkg/driver.py": module}) == []
-
-    def test_chunked_scheduler_shape_is_clean(self, tmp_path):
-        """The parallel driver's work-stealing shape: module-level chunk
-        worker, plain ``list[list[int]]`` payloads, picklable initargs."""
-        module = (
-            "from multiprocessing import Pool\n"
-            "def _peel_chunk(chunk):\n"
-            "    return [(k, [k]) for k in chunk]\n"
-            "def drive(chunks, snapshot, engine):\n"
-            "    with Pool(2, initializer=_setup, initargs=(snapshot, engine)) as pool:\n"
-            "        out = []\n"
-            "        for peeled in pool.imap_unordered(_peel_chunk, chunks):\n"
-            "            out.extend(peeled)\n"
-            "    return out\n"
-            "def _setup(snapshot, engine):\n"
-            "    return None\n"
-        )
-        assert analysis_codes(tmp_path, {"pkg/driver.py": module}) == []
-
-
-# ----------------------------------------------------------------------
 # KP012 — no blocking I/O under a shared lock scope (whole-program)
 # ----------------------------------------------------------------------
 class TestKP012:
@@ -670,7 +603,8 @@ def test_violation_render_format():
 
 
 def test_rule_catalogue_covers_all_codes():
-    assert set(RULE_CODES) == {f"KP{i:03d}" for i in range(0, 13)}
+    # KP011 is retired, and retired codes are not reused.
+    assert set(RULE_CODES) == {f"KP{i:03d}" for i in range(0, 13)} - {"KP011"}
 
 
 def test_iter_python_files_rejects_missing_path(tmp_path):

@@ -270,7 +270,11 @@ class TestMergedRecoveryCases:
             monkeypatch.undo()
             assert durable.recovery is not None
             assert durable.recovery.replayed == 2
-            assert len(built) == 1
+            # The replay batch re-peels on a peel state built for it
+            # alone: no snapshot, and no state left behind.
+            assert built == []
+            assert durable.maintainer._peel_state is None
+            assert durable.maintainer.stats.peel_state_builds == 1
             assert durable.maintainer.stats.batches == 1
             assert durable.index.semantically_equal(
                 KPIndex.build(durable.graph)
